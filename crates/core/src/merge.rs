@@ -26,16 +26,19 @@
 //!
 //! * **CSR** (default): a compressed-sparse-row adjacency structure in the
 //!   spirit of the CM implementations' flat arrays. Each original vertex
-//!   owns a *row* of directed neighbour slots. One fused sweep at the end
-//!   of every iteration redirects endpoints through the iteration's
-//!   one-level redirect table (exact, because a representative never loses
-//!   in the iteration it wins), drops self-loops / per-owner duplicates /
-//!   criterion-violating slots, squeezes the surviving slots *and* rows in
-//!   place, and pre-folds the next iteration's per-region choice minima —
-//!   no per-iteration edge-list rebuild, no global sort, no steady-state
-//!   allocation, and no dead slot or empty row is ever rescanned. The
-//!   steady-state cost per iteration is O(live slots + live owners), with
-//!   none of the O(vertices) refill floors the reference engine pays.
+//!   owns a *row* of directed neighbour slots. One pass at the end of
+//!   every iteration redirects endpoints through the iteration's one-level
+//!   redirect table (exact, because a representative never loses in the
+//!   iteration it wins), drops self-loops / per-owner duplicates /
+//!   criterion-violating slots, squeezes the surviving slots in place, and
+//!   pre-folds the next iteration's per-region choice minima — no
+//!   per-iteration edge-list rebuild, no global sort, no steady-state
+//!   allocation. The pass is picked per iteration from counts the merger
+//!   keeps: the full sweep streams a squeezed list of live rows in order,
+//!   at O(live slots + live rows) with no O(vertices) floor; under a
+//!   deterministic tie policy, when few regions merged, the incremental
+//!   pass rescans only the merged pairs' neighbourhoods. No dead slot is
+//!   ever rescanned, and an emptied row at most once.
 //! * **Reference**: the original edge-list engine that rebuilds, re-sorts
 //!   and re-dedups the whole list every iteration. Kept for differential
 //!   testing and as the perf baseline recorded in `BENCH_merge.json`.
@@ -139,6 +142,15 @@ pub fn choice_key(
 
 /// Edge count above which the rayon paths kick in.
 const PAR_EDGES: usize = 4096;
+
+/// Deterministic-tie CSR iterations take the incremental end-of-step pass
+/// only while `INCREMENTAL_MAX_SHARE · losers < live slots`, and the full
+/// sweep otherwise. Each merged pair dirties its own rows and every
+/// neighbour's, which the incremental pass reads in random order (twice
+/// for the pair's own rows); once the merges cover more than about one
+/// live slot in this many, those neighbourhoods overlap into most of the
+/// graph and one sequential sweep over every live slot is cheaper.
+const INCREMENTAL_MAX_SHARE: usize = 16;
 
 /// What one call to [`Merger::step`] did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -287,6 +299,12 @@ struct Csr {
     col: Vec<u32>,
     /// Current representative of the region that owns row `r`.
     row_owner: Vec<u32>,
+    /// The live-row list the full sweep walks, in ascending row order:
+    /// every row with a live slot, possibly plus rows the incremental
+    /// pass has emptied since the last sweep (the next sweep drops them).
+    /// Squeezed in place by every full sweep, so its cost is O(live slots
+    /// + live rows), never O(original vertices).
+    rows: Vec<u32>,
     /// Number of live directed slots (`== row_len` sum). Not necessarily
     /// even: the two directions of a duplicated edge may deduplicate at
     /// different times.
@@ -301,8 +319,10 @@ struct Csr {
     row_tail: Vec<u32>,
     /// Next row in the owning vertex's list.
     row_next: Vec<u32>,
-    /// Epoch marks backing the incremental pass's dirty set.
-    dirty_epoch: Vec<u32>,
+    /// Per-vertex pass marks: `seen[v] == iteration + 1` iff `v` has been
+    /// visited by the current end-of-step pass (the incremental pass's
+    /// dirty set; the full sweep's first-row-of-this-owner test).
+    seen: Vec<u32>,
     /// Scratch: dirty vertices of the current incremental pass.
     dirty: Vec<u32>,
     /// Per-neighbour stamp for per-owner duplicate detection; a fresh
@@ -311,22 +331,28 @@ struct Csr {
     /// Next stamp token block (monotonically increasing, starts at 1
     /// because `stamp` is zero-initialised).
     next_token: u64,
-    /// Scratch: per-row minima for the parallel choice pass.
+    /// Scratch: per-row minima for the parallel choice pass, sized by
+    /// [`Csr::row_minima_par`] on first use (sequential runs never pay
+    /// for it).
     row_best: Vec<CandKey>,
-    /// Owners whose `best`/`choice` entries were written by the last fused
-    /// pass — the only entries that need resetting before the next one
-    /// (an O(live owners) sweep instead of an O(vertices) refill).
+    /// Owners whose `best`/`choice` entries the last end-of-step pass
+    /// recomputed, each listed once: every live owner after a full sweep,
+    /// the dirty set after an incremental pass. The next apply step scans
+    /// only these — every other owner's choice is unchanged, so it cannot
+    /// be part of a new mutual pair.
     touched: Vec<u32>,
-    /// `false` until the first fused pass: the iteration-0 choice pass
-    /// writes `best`/`choice` densely, so the first reset must be full.
-    touched_valid: bool,
-    /// `true` when the fused end-of-step pass has already folded the next
+    /// `true` when the end-of-step pass has already folded the next
     /// iteration's per-owner minima into the `Merger`'s `best` array, so
-    /// the next choice pass is a table read instead of a sweep.
+    /// the next choice pass is a table read instead of a sweep (and
+    /// `touched` is valid).
     precomputed: bool,
     /// The (policy, iteration) the precomputed minima were folded under —
     /// cross-checked against the choice pass in debug builds.
     precomputed_for: (TieBreak, u32),
+    /// Kind of every end-of-step pass so far (`true` = incremental), so
+    /// unit tests can assert which traversals a run exercised.
+    #[cfg(test)]
+    incremental_log: Vec<bool>,
 }
 
 impl Csr {
@@ -345,19 +371,21 @@ impl Csr {
             row_len: Vec::new(),
             col: Vec::new(),
             row_owner: Vec::new(),
+            rows: Vec::new(),
             live: 0,
             row_head: Vec::new(),
             row_tail: Vec::new(),
             row_next: Vec::new(),
-            dirty_epoch: Vec::new(),
+            seen: Vec::new(),
             dirty: Vec::new(),
             stamp: Vec::new(),
             next_token: 1,
             row_best: Vec::new(),
             touched: Vec::new(),
-            touched_valid: false,
             precomputed: false,
             precomputed_for: (TieBreak::SmallestId, u32::MAX),
+            #[cfg(test)]
+            incremental_log: Vec::new(),
         }
     }
 
@@ -394,6 +422,10 @@ impl Csr {
         }
         self.row_owner.clear();
         self.row_owner.extend(0..n as u32);
+        let row_len = &self.row_len;
+        self.rows.clear();
+        self.rows
+            .extend((0..n as u32).filter(|&r| row_len[r as usize] > 0));
         self.live = slots;
         self.row_head.clear();
         self.row_head.extend(0..n as u32);
@@ -401,19 +433,18 @@ impl Csr {
         self.row_tail.extend(0..n as u32);
         self.row_next.clear();
         self.row_next.resize(n, NO_ROW);
-        self.dirty_epoch.clear();
-        self.dirty_epoch.resize(n, 0);
+        self.seen.clear();
+        self.seen.resize(n, 0);
         self.dirty.clear();
         self.stamp.clear();
         self.stamp.resize(n, 0);
         self.next_token = 1;
-        self.row_best.clear();
-        self.row_best.resize(n, KEY_SENTINEL);
         self.touched.clear();
         self.touched.reserve(n);
-        self.touched_valid = false;
         self.precomputed = false;
         self.precomputed_for = (TieBreak::SmallestId, u32::MAX);
+        #[cfg(test)]
+        self.incremental_log.clear();
     }
 
     /// Appends loser `v`'s row list to winner `u`'s (O(1)). The rows'
@@ -449,6 +480,8 @@ impl Csr {
         iteration: u32,
     ) {
         const CHUNK: usize = 256;
+        self.row_best.clear();
+        self.row_best.resize(self.row_owner.len(), KEY_SENTINEL);
         let Csr {
             row_ptr,
             row_len,
@@ -485,7 +518,8 @@ impl Csr {
             });
     }
 
-    /// The fused end-of-step sweep: in **one** pass over the live slots it
+    /// The full end-of-step sweep: in **one** sequential pass over the
+    /// live-row list it
     ///
     /// 1. redirects row owners and candidate slots through the one-level
     ///    `redirect` (exact, because an iteration's mutual pairs form a
@@ -493,17 +527,27 @@ impl Csr {
     /// 2. drops self-loops, per-owner duplicate neighbours, and slots whose
     ///    merged endpoints no longer satisfy the criterion (`filter` mode,
     ///    after a productive iteration);
-    /// 3. squeezes the surviving slots to the front of `col` and the
-    ///    surviving rows to the front of the row list (both write cursors
-    ///    never pass their read cursors, so the moves are in place, and
-    ///    afterwards no dead slot or empty row exists to be rescanned —
+    /// 3. squeezes the surviving slots to the front of their row and the
+    ///    surviving rows to the front of `rows` (both write cursors never
+    ///    pass their read cursors, so the moves are in place, and
+    ///    afterwards no dead slot or empty row is left to be rescanned —
     ///    compaction happens *every* productive pass for free, because the
     ///    pass touches every live slot anyway);
     /// 4. folds every survivor into `best` under the *next* iteration's
     ///    tie policy and derives `choice` for exactly the owners that have
-    ///    one, so the next choice pass is a no-op. Only the `best`/`choice`
-    ///    entries the previous pass wrote are reset (`touched`), keeping
-    ///    the pass free of O(vertices) refills.
+    ///    one, so the next choice pass is a no-op.
+    ///
+    /// No O(vertices) refill is needed to start from clean `best`/`choice`
+    /// entries: each owner's entry is reset when the sweep reaches its
+    /// first row (`seen`). A non-sentinel entry only ever belongs to an
+    /// owner that holds a live slot — and so has a row in `rows` — or to a
+    /// merged loser, which owns no row and which no slot names after this
+    /// pass: its stale `best` is never read again, and no live owner's
+    /// choice names it, so its stale `choice` never completes a mutual
+    /// pair. That holds whichever
+    /// pass ran before, incremental or full; resetting only the entries
+    /// the previous pass wrote would not, because after an incremental
+    /// pass those are the dirty set alone.
     ///
     /// When `filter` is false (a stall iteration: no merge happened, no
     /// statistic changed) steps 1–3 are vacuous and the pass degenerates to
@@ -513,8 +557,8 @@ impl Csr {
     /// invariant under duplicates, the criterion filter would kill every
     /// copy together, and at least one copy per direction always survives.
     ///
-    /// Returns `(ops, reclaimed)`: live slots touched in filter mode (the
-    /// relabel-work counter) and dead slots squeezed out.
+    /// Returns `(ops, reclaimed)`: live slots read (the relabel-work
+    /// counter) and dead slots squeezed out.
     #[allow(clippy::too_many_arguments)]
     fn fused_pass<P: Intensity>(
         &mut self,
@@ -588,7 +632,7 @@ impl Csr {
         W: Fn(usize, usize) -> u64,
         K: Fn(usize, usize, u64) -> bool,
     {
-        let n = self.row_owner.len();
+        let epoch = iteration + 1; // unique per pass, as in `fast_pass`
         let mut ops = 0u64;
         // Token `base + o` is unique to (pass, owner `o`), so every row
         // owned by `o` shares one token and `stamp[c] == token` dedups the
@@ -597,25 +641,16 @@ impl Csr {
         // at O(live) cost.
         let base = self.next_token;
         self.next_token += self.stamp.len() as u64;
-        // Reset exactly the entries the previous pass wrote.
-        if self.touched_valid {
-            for &o in &self.touched {
-                best[o as usize] = KEY_SENTINEL;
-                choice[o as usize] = u32::MAX;
-            }
-        } else {
-            best.fill(KEY_SENTINEL);
-            choice.fill(u32::MAX);
-            self.touched_valid = true;
-        }
         self.touched.clear();
         let mut live = 0usize;
         let mut reclaimed = 0usize;
-        for r in 0..n {
+        let mut kept_rows = 0usize;
+        for i in 0..self.rows.len() {
+            let r = self.rows[i] as usize;
             let s = self.row_ptr[r] as usize;
             let len = self.row_len[r] as usize;
             if len == 0 {
-                continue;
+                continue; // emptied by an incremental pass since the last sweep
             }
             let o = if filter {
                 let o = redirect[self.row_owner[r] as usize];
@@ -626,10 +661,13 @@ impl Csr {
             } as usize;
             let token = base + o as u64;
             let chooser = hot[o].id;
-            let mut b = best[o];
-            if b == KEY_SENTINEL {
+            let mut b = if self.seen[o] == epoch {
+                best[o]
+            } else {
+                self.seen[o] = epoch;
                 self.touched.push(o as u32);
-            }
+                KEY_SENTINEL
+            };
             let mut w = s; // in-row write cursor; never passes the read one
             for j in s..s + len {
                 let c = self.col[j];
@@ -660,8 +698,13 @@ impl Csr {
             reclaimed += len - kept;
             live += kept;
             self.row_len[r] = kept as u32;
+            if kept > 0 {
+                self.rows[kept_rows] = r as u32;
+                kept_rows += 1;
+            }
             best[o] = b;
         }
+        self.rows.truncate(kept_rows);
         self.live = live;
         // Next iteration's choices, for exactly the owners that have one.
         for &o in &self.touched {
@@ -695,6 +738,15 @@ impl Csr {
     /// tie-breaking re-randomises every ranking each iteration, which
     /// forces the full rescan — the same global work the reference
     /// backend's choice pass does — so it stays on [`Csr::fused_pass`].)
+    ///
+    /// The pass pays off only while the dirty set is a small share of the
+    /// graph: it reads every seed row twice (marking walk, then rescan)
+    /// and follows the owner→rows lists in random order, where the full
+    /// sweep streams the live rows once. [`Merger::end_of_step`] therefore
+    /// runs it only when few regions merged (see [`INCREMENTAL_MAX_SHARE`]).
+    ///
+    /// Returns `(ops, reclaimed)` like [`Csr::fused_pass`]; `ops` counts
+    /// the slots read by the marking walk as well as by the rescan.
     #[allow(clippy::too_many_arguments)]
     fn fast_pass<P: Intensity>(
         &mut self,
@@ -773,9 +825,10 @@ impl Csr {
         // neighbours by walking the winners' row lists (loser rows were
         // spliced in before this pass, so one walk covers the pair).
         for &v in losers {
-            mark(&mut self.dirty, &mut self.dirty_epoch, v);
-            mark(&mut self.dirty, &mut self.dirty_epoch, redirect[v as usize]);
+            mark(&mut self.dirty, &mut self.seen, v);
+            mark(&mut self.dirty, &mut self.seen, redirect[v as usize]);
         }
+        let mut ops = 0u64;
         let seeds = self.dirty.len();
         for i in 0..seeds {
             let d = self.dirty[i] as usize;
@@ -783,10 +836,12 @@ impl Csr {
             while r != NO_ROW {
                 let ri = r as usize;
                 let s = self.row_ptr[ri] as usize;
-                for j in s..s + self.row_len[ri] as usize {
+                let len = self.row_len[ri] as usize;
+                ops += len as u64;
+                for j in s..s + len {
                     mark(
                         &mut self.dirty,
-                        &mut self.dirty_epoch,
+                        &mut self.seen,
                         redirect[self.col[j] as usize],
                     );
                 }
@@ -801,7 +856,6 @@ impl Csr {
         }
         let base = self.next_token;
         self.next_token += self.stamp.len() as u64;
-        let mut ops = 0u64;
         let mut reclaimed = 0usize;
         for i in 0..self.dirty.len() {
             let d = self.dirty[i] as usize;
@@ -1111,8 +1165,10 @@ impl<P: Intensity> Merger<P> {
 
     /// Total edge-relabel data movement performed so far — the counter the
     /// CI perf-smoke guard compares across backends. For the CSR backend:
-    /// one op per live slot touched by the fused relabel/filter/squeeze
-    /// pass of each productive iteration. For the reference backend: two
+    /// one op per slot read by the end-of-step pass of each productive
+    /// iteration — every live slot for a full sweep; for an incremental
+    /// pass, the slots its marking walk reads plus the dirty rows' slots
+    /// it rescans. For the reference backend: two
     /// endpoint maps per edge plus the per-iteration canonicalising sort
     /// (`E·⌈log₂E⌉` element moves) and dedup scan it performs to rebuild
     /// the edge list.
@@ -1214,6 +1270,15 @@ impl<P: Intensity> Merger<P> {
             self.choice = choice;
             merges
         };
+        // Under a deterministic policy the globally minimal edge is always
+        // a mutual pair (see "Termination"), so an empty iteration means a
+        // lost pair — and a loop that would never end.
+        debug_assert!(
+            merges > 0 || matches!(policy, TieBreak::Random { .. }),
+            "{policy:?} iteration {} merged nothing with {} active edges",
+            self.iterations,
+            self.active_edges()
+        );
         // Advance the iteration/stall counters *before* the end-of-step
         // pass: the CSR backend folds the next iteration's choice minima in
         // the same sweep, and needs the next step's policy and index.
@@ -1330,12 +1395,10 @@ impl<P: Intensity> Merger<P> {
                     // Segmented-min sweep: one pass over the slot array,
                     // folding each row's candidates into its owner's best.
                     best.fill(KEY_SENTINEL);
-                    for r in 0..csr.row_owner.len() {
+                    for &r in &csr.rows {
+                        let r = r as usize;
                         let s = csr.row_ptr[r] as usize;
                         let e = s + csr.row_len[r] as usize;
-                        if s == e {
-                            continue;
-                        }
                         let o = csr.row_owner[r] as usize;
                         let chooser = ids[o];
                         let mut b = best[o];
@@ -1359,16 +1422,17 @@ impl<P: Intensity> Merger<P> {
 
     /// Merges every mutual pair; returns the number of merges.
     ///
-    /// In the CSR steady state only the fused pass's `touched` owners can
-    /// hold a choice (everyone else is `u32::MAX`), so the scan visits
-    /// exactly those vertices — no O(vertices) sweep. The full scan
-    /// remains for the reference backend, the first iteration, and when
-    /// tracing (trace events are emitted in ascending-winner order, which
-    /// the `touched` list does not guarantee; the merges themselves are a
-    /// matching, so application order is otherwise irrelevant).
+    /// In the CSR steady state only the end-of-step pass's `touched`
+    /// owners can have a new choice (after a full sweep they are every
+    /// owner that has one at all), so the scan visits exactly those
+    /// vertices — no O(vertices) sweep. The full scan remains for the
+    /// reference backend, the first iteration, and when tracing (trace
+    /// events are emitted in ascending-winner order, which the `touched`
+    /// list does not guarantee; the merges themselves are a matching, so
+    /// application order is otherwise irrelevant).
     fn apply_mutual_merges(&mut self, choice: &mut [u32]) -> u32 {
         let touched = match &mut self.backend {
-            BackendState::Csr(csr) if csr.touched_valid && self.trace.is_none() => {
+            BackendState::Csr(csr) if csr.precomputed && self.trace.is_none() => {
                 Some(std::mem::take(&mut csr.touched))
             }
             _ => None,
@@ -1438,14 +1502,19 @@ impl<P: Intensity> Merger<P> {
     /// skipped on stall iterations (`merges == 0`), which change no
     /// statistic and no representative, so every edge survives unchanged.
     ///
-    /// CSR: one [`Csr::fused_pass`] that performs the same relabel /
-    /// filter / squeeze *and* folds the next iteration's choice minima
-    /// into `best` under the policy the next step's prologue will select
-    /// (the stall counter is already updated and `self.iterations` is the
-    /// next step's index). On stall iterations the pass runs in
-    /// choice-only mode: the re-randomised tie keys still demand a rescan,
-    /// but no filtering work is counted — the reference backend does that
-    /// same rescan inside its own choice pass.
+    /// CSR: one pass that performs the same relabel / filter / squeeze
+    /// *and* folds the next iteration's choice minima into `best` under
+    /// the policy the next step's prologue will select (the stall counter
+    /// is already updated and `self.iterations` is the next step's index).
+    /// The pass is chosen per iteration: the incremental [`Csr::fast_pass`]
+    /// when the tie policy is deterministic and few regions merged
+    /// (`INCREMENTAL_MAX_SHARE · losers < live slots`), the full sequential
+    /// [`Csr::fused_pass`] otherwise. Both leave identical slots, rows,
+    /// `best` and `choice` for every live owner, so the choice changes only
+    /// the cost. On stall iterations the full pass runs in choice-only
+    /// mode: the re-randomised tie keys still demand a rescan, but no
+    /// filtering work is counted — the reference backend does that same
+    /// rescan inside its own choice pass.
     ///
     /// Returns `true` if the CSR backend reclaimed dead slots.
     fn end_of_step(&mut self, merges: u32) -> bool {
@@ -1521,7 +1590,9 @@ impl<P: Intensity> Merger<P> {
                 // Deterministic policies have iteration-independent tie
                 // keys, so only the merged pairs' neighbourhoods can change
                 // their choice: splice each loser's rows onto its winner
-                // and run the incremental pass over the dirty set. Random
+                // (kept up every iteration, whichever pass runs) and, when
+                // those neighbourhoods are a small share of the graph, run
+                // the incremental pass over the dirty set. Random
                 // re-randomises every key each iteration — the full sweep
                 // is mandatory (the reference backend pays the same sweep
                 // inside its choice pass).
@@ -1531,7 +1602,11 @@ impl<P: Intensity> Merger<P> {
                         csr.splice(redirect[v as usize] as usize, v as usize);
                     }
                 }
-                let (ops, reclaimed) = if deterministic && csr.touched_valid {
+                let incremental =
+                    deterministic && INCREMENTAL_MAX_SHARE * pending_losers.len() < csr.live;
+                #[cfg(test)]
+                csr.incremental_log.push(incremental);
+                let (ops, reclaimed) = if incremental {
                     csr.fast_pass(
                         stats,
                         hot,
@@ -1729,6 +1804,53 @@ mod tests {
             work_csr <= work_ref,
             "CSR relabel work {work_csr} exceeds reference {work_ref}"
         );
+    }
+
+    #[test]
+    fn pass_choice_switches_both_ways_and_matches_reference() {
+        // On small noise the merged share of the graph swings around the
+        // switch point, so one deterministic run sweeps fully, goes
+        // incremental, and sweeps fully again — the switch back is where
+        // stale `best`/`choice` entries left by incremental passes would
+        // surface as lost mutual pairs.
+        let img = synth::uniform_noise(64, 64, 120, 135, 3);
+        for tie in [TieBreak::SmallestId, TieBreak::LargestId] {
+            let run = |backend: MergeBackend, trace: bool| {
+                let cfg = Config::with_threshold(12)
+                    .tie_break(tie)
+                    .merge_backend(backend);
+                let s = split(&img, &cfg);
+                let rag = Rag::from_split(&s, Connectivity::Four);
+                let ids: Vec<u64> = s.squares.iter().map(|q| q.id(64) as u64).collect();
+                let mut m = Merger::new(rag, ids, &cfg, false);
+                if trace {
+                    m.enable_trace();
+                }
+                let summary = m.run();
+                let kinds = match &m.backend {
+                    BackendState::Csr(csr) => csr.incremental_log.clone(),
+                    BackendState::Reference { .. } => Vec::new(),
+                };
+                (summary, m.take_trace(), m.labels_by_vertex(), kinds)
+            };
+            // Untraced, apply scans only the `touched` lists.
+            let (summary, _, labels, kinds) = run(MergeBackend::Csr, false);
+            let full_inc_full = kinds
+                .iter()
+                .position(|&inc| !inc)
+                .and_then(|f| kinds[f..].iter().position(|&inc| inc).map(|i| f + i))
+                .is_some_and(|i| kinds[i..].iter().any(|&inc| !inc));
+            assert!(
+                full_inc_full,
+                "{tie:?}: no full → incremental → full run in {kinds:?}"
+            );
+            let (ref_summary, ref_trace, ref_labels, _) = run(MergeBackend::Reference, true);
+            assert_eq!(summary, ref_summary, "{tie:?}");
+            assert_eq!(labels, ref_labels, "{tie:?}");
+            // Traced, the full merge history matches event by event.
+            let (_, trace, _, _) = run(MergeBackend::Csr, true);
+            assert_eq!(trace, ref_trace, "{tie:?}");
+        }
     }
 
     #[test]

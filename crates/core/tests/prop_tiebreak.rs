@@ -235,11 +235,18 @@ proptest! {
     /// labels, same region count, and the same merge history iteration by
     /// iteration (the merges-per-iteration trajectory, which pins down
     /// every intermediate RAG state, not just the fixed point).
+    ///
+    /// Scenes are either sparse random rectangles (few merges per
+    /// iteration: the CSR backend's incremental pass) or uniform noise of
+    /// random spread (large merged shares: its full sweep, and switches
+    /// between the two within one run).
     #[test]
     fn csr_backend_matches_reference_backend(
         w in 8usize..48,
         h in 8usize..48,
+        noise in any::<bool>(),
         rects in 0usize..9,
+        spread in 0u8..32,
         img_seed in 0u64..1_000,
         threshold in 0u32..48,
         eight in any::<bool>(),
@@ -247,7 +254,11 @@ proptest! {
         seed in 0u64..1_000,
         parallel in any::<bool>(),
     ) {
-        let img = synth::random_rects(w, h, rects, img_seed);
+        let img = if noise {
+            synth::uniform_noise(w, h, 120, 120 + spread, img_seed)
+        } else {
+            synth::random_rects(w, h, rects, img_seed)
+        };
         let tie = [
             TieBreak::SmallestId,
             TieBreak::LargestId,
@@ -266,8 +277,8 @@ proptest! {
         };
         prop_assert_eq!(
             a, b,
-            "backends diverged: {:?} conn={:?} t={} parallel={}",
-            tie, conn, threshold, parallel
+            "backends diverged: noise={} {:?} conn={:?} t={} parallel={}",
+            noise, tie, conn, threshold, parallel
         );
     }
 }
