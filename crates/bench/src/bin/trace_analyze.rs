@@ -7,14 +7,11 @@
 //! and communication/computation overlap.
 //!
 //! ```text
-//! trace_analyze <journal.jsonl|-> [--json PATH|-] [--bench PATH] [--strict]
+//! trace_analyze <journal.jsonl|-> [--json PATH|-] [--strict]
 //!
 //!   <journal.jsonl|->   input journal; `-` reads from stdin
 //!   --json PATH|-       also write the analysis as JSON (`-` = stdout,
 //!                       suppressing the human report)
-//!   --bench PATH        also write a `bench-merge-v1` document whose rows
-//!                       carry `critical_path_us` / `imbalance_pct`, so
-//!                       `bench_record diff` can gate on them
 //!   --strict            fail on the first malformed journal line instead
 //!                       of tolerating a truncated tail
 //! ```
@@ -26,42 +23,24 @@
 //! simply lose their cross-rank edge.
 
 use rg_core::json::Json;
-use rg_core::{analyze_run, parse_journal, parse_journal_strict, split_runs, Event, EventKind};
+use rg_core::{analyze_run, parse_journal, parse_journal_strict, split_runs, Event};
 use std::io::Read;
 use std::process::exit;
 
 fn usage() -> ! {
-    eprintln!("usage: trace_analyze <journal.jsonl|-> [--json PATH|-] [--bench PATH] [--strict]");
+    eprintln!("usage: trace_analyze <journal.jsonl|-> [--json PATH|-] [--strict]");
     exit(2)
-}
-
-/// Pulls the `(tie_break, threshold)` row key fields from a run's
-/// `run_start`, if it survived in the journal.
-fn run_config(run: &[Event]) -> (String, f64) {
-    for ev in run {
-        if let EventKind::RunStart { config, .. } = &ev.kind {
-            return (config.tie_break.clone(), f64::from(config.threshold));
-        }
-    }
-    ("unknown".to_string(), 0.0)
 }
 
 fn main() {
     let mut input: Option<String> = None;
     let mut json_out: Option<String> = None;
-    let mut bench_out: Option<String> = None;
     let mut strict = false;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--json" => {
                 json_out = Some(args.next().unwrap_or_else(|| {
-                    eprintln!("missing value for {a}");
-                    usage()
-                }))
-            }
-            "--bench" => {
-                bench_out = Some(args.next().unwrap_or_else(|| {
                     eprintln!("missing value for {a}");
                     usage()
                 }))
@@ -116,7 +95,6 @@ fn main() {
 
     let runs = split_runs(&events);
     let mut analyses = Vec::new();
-    let mut rows = Vec::new();
     let mut bad = 0usize;
     for run in &runs {
         let Some(a) = analyze_run(run) else { continue };
@@ -137,17 +115,6 @@ fn main() {
             );
             bad += 1;
         }
-        let (tie_break, threshold) = run_config(run);
-        rows.push(Json::obj(vec![
-            ("backend", a.engine.as_str().into()),
-            ("image", format!("{}x{}", a.width, a.height).into()),
-            ("tie_break", tie_break.into()),
-            ("threshold", threshold.into()),
-            ("critical_path_us", (a.critical_path_ns / 1000.0).into()),
-            ("imbalance_pct", a.imbalance_pct.into()),
-            ("utilization_pct", a.utilization_pct().into()),
-            ("wall_us", (a.wall_ns / 1000.0).into()),
-        ]));
         analyses.push(a);
     }
 
@@ -178,16 +145,6 @@ fn main() {
                 exit(1)
             });
         }
-    }
-    if let Some(out) = &bench_out {
-        let doc = Json::obj(vec![
-            ("schema", "bench-merge-v1".into()),
-            ("rows", Json::Arr(rows)),
-        ]);
-        std::fs::write(out, doc.to_pretty()).unwrap_or_else(|e| {
-            eprintln!("cannot write {out}: {e}");
-            exit(1)
-        });
     }
     if !quiet {
         for a in &analyses {

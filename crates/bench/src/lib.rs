@@ -13,5 +13,4 @@
 #![forbid(unsafe_code)]
 
 pub mod ablation;
-pub mod diff;
 pub mod tables;

@@ -869,66 +869,16 @@ pub fn parse_journal_strict(text: &str) -> Result<Vec<Event>, (usize, String)> {
     Ok(events)
 }
 
-/// Folds a (possibly truncated) event stream into a [`TelemetryReport`].
-///
-/// This mirrors what [`Recorder`](crate::telemetry::Recorder) accumulates
-/// live, so a post-mortem journal prefix feeds the same reporting and
-/// diffing tools as a completed run. Missing trailing events simply leave
-/// the corresponding fields at their defaults.
+/// Folds a (possibly truncated) event stream into a [`TelemetryReport`]
+/// with the same per-event fold [`Recorder`](crate::telemetry::Recorder)
+/// runs live, so a post-mortem journal prefix gives the report the run
+/// would have recorded up to that point.
+/// Missing trailing events simply leave the corresponding fields at their
+/// defaults.
 pub fn replay(events: &[Event]) -> TelemetryReport {
     let mut r = TelemetryReport::default();
     for ev in events {
-        match &ev.kind {
-            EventKind::RunStart {
-                engine,
-                width,
-                height,
-                config,
-            } => {
-                r = TelemetryReport {
-                    engine: engine.clone(),
-                    width: *width,
-                    height: *height,
-                    config: Some(config.clone()),
-                    ..TelemetryReport::default()
-                };
-            }
-            EventKind::SpanBegin { .. } | EventKind::SpanEnd { .. } => {}
-            EventKind::Stage { span } => r.stages.push(*span),
-            EventKind::SplitDone {
-                iterations,
-                num_squares,
-            } => {
-                r.split_iterations = *iterations;
-                r.num_squares = *num_squares;
-            }
-            EventKind::MergeIteration { rec } => {
-                if rec.merges == 0 {
-                    r.stall_iterations += 1;
-                }
-                if rec.used_fallback {
-                    r.fallback_iterations += 1;
-                }
-                r.merge_iterations.push(*rec);
-            }
-            EventKind::MergeDone { num_regions } => r.num_regions = *num_regions,
-            EventKind::Comm { rec } => r.comm = Some(rec.clone()),
-            EventKind::Fault { rec } => {
-                if rec.kind == "degraded" {
-                    r.degraded = true;
-                }
-                r.faults.push(rec.clone());
-            }
-            // Flow events are analysis-grade detail (see [`crate::analyze`]);
-            // folding thousands of them into the aggregate report would
-            // bloat it without informing any report-level metric.
-            EventKind::Flow { .. } => {}
-            EventKind::Counter { name, value } => r.counters.push((name.clone(), *value)),
-            EventKind::Histogram { name, hist } => {
-                r.histograms.push((name.clone(), (**hist).clone()))
-            }
-            EventKind::RunEnd { .. } => {}
-        }
+        r.apply(ev.kind.clone());
     }
     r
 }

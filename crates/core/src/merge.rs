@@ -41,7 +41,7 @@
 //!   ever rescanned, and an emptied row at most once.
 //! * **Reference**: the original edge-list engine that rebuilds, re-sorts
 //!   and re-dedups the whole list every iteration. Kept for differential
-//!   testing and as the perf baseline recorded in `BENCH_merge.json`.
+//!   testing and as the perf baseline pinned in `tests/bench_guards.rs`.
 //!
 //! Both backends produce byte-identical merge histories: the candidate
 //! argmin is order-invariant (strict total order per chooser, see
@@ -978,8 +978,8 @@ pub struct Merger<P: Intensity> {
     stalls: u32,
     trace: Option<MergeTrace>,
 
-    /// Total endpoint relabels / slot moves performed (the counter the CI
-    /// perf-smoke guard compares across backends).
+    /// Total endpoint relabels / slot moves performed (the counter
+    /// `tests/bench_guards.rs` compares across backends).
     relabel_ops: u64,
     /// Maximum of [`Merger::active_edges`] observed over the run.
     peak_active_edges: u64,
@@ -1163,8 +1163,8 @@ impl<P: Intensity> Merger<P> {
         }
     }
 
-    /// Total edge-relabel data movement performed so far — the counter the
-    /// CI perf-smoke guard compares across backends. For the CSR backend:
+    /// Total edge-relabel data movement performed so far — the counter
+    /// `tests/bench_guards.rs` compares across backends. For the CSR backend:
     /// one op per slot read by the end-of-step pass of each productive
     /// iteration — every live slot for a full sweep; for an incremental
     /// pass, the slots its marking walk reads plus the dirty rows' slots

@@ -70,7 +70,7 @@ impl Square {
 ///
 /// All counts are deterministic functions of the image shape, contents and
 /// config — identical between the sequential and rayon paths — which makes
-/// them usable as perf-regression gates (`bench_record split`) on any
+/// them usable as perf-regression gates (`tests/bench_guards.rs`) on any
 /// machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SplitMetrics {

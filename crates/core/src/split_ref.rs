@@ -1,6 +1,7 @@
 //! The retained pre-optimisation split implementation: the differential
-//! oracle for the packed engine in [`crate::split`] and the baseline of
-//! the `bench_record split` suite.
+//! oracle for the packed engine in [`crate::split`](mod@crate::split)
+//! and the baseline its work counters are checked against
+//! (`tests/bench_guards.rs`).
 //!
 //! This is the original layout, kept verbatim on purpose: an
 //! `Option<RegionStats>` pyramid and `Vec<bool>` `is_square` levels, both
@@ -9,7 +10,7 @@
 //! coalesce test. Do **not** optimise it — its entire value is being the
 //! simple, obviously-correct program the word-parallel engine must match
 //! bit for bit (`prop_split_packed.rs`) and be measured against
-//! (`BENCH_split.json`).
+//! (`tests/bench_guards.rs`).
 
 use crate::config::{Config, RegionStats};
 use crate::split::{SplitMetrics, SplitResult, Square};

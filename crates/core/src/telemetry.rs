@@ -73,6 +73,7 @@
 //! message sizes. Histograms serialize into the JSON report.
 
 use crate::config::{Config, Connectivity, Criterion, TieBreak};
+use crate::journal::EventKind;
 use crate::json::{Json, JsonError};
 
 /// A pipeline stage, as the paper's tables slice time.
@@ -936,6 +937,63 @@ impl TelemetryReport {
         }
     }
 
+    /// Folds one event into the report: the single definition of how an
+    /// event stream becomes a report, shared by [`Recorder`] (live) and
+    /// [`crate::journal::replay`] (post-mortem). `run_start` starts a fresh
+    /// report; a re-emitted counter name overwrites its value in place, so
+    /// the report holds each counter's final value once and its JSON keys
+    /// stay unique (the message-passing engine re-emits cumulative `comm.*`
+    /// counters every iteration). Spans, flows and `run_end` carry no
+    /// report-level data.
+    pub(crate) fn apply(&mut self, kind: EventKind) {
+        match kind {
+            EventKind::RunStart {
+                engine,
+                width,
+                height,
+                config,
+            } => {
+                *self = TelemetryReport {
+                    engine,
+                    width,
+                    height,
+                    config: Some(config),
+                    ..TelemetryReport::default()
+                };
+            }
+            EventKind::Stage { span } => self.stages.push(span),
+            EventKind::SplitDone {
+                iterations,
+                num_squares,
+            } => {
+                self.split_iterations = iterations;
+                self.num_squares = num_squares;
+            }
+            EventKind::MergeIteration { rec } => {
+                self.stall_iterations += u32::from(rec.merges == 0);
+                self.fallback_iterations += u32::from(rec.used_fallback);
+                self.merge_iterations.push(rec);
+            }
+            EventKind::MergeDone { num_regions } => self.num_regions = num_regions,
+            EventKind::Comm { rec } => self.comm = Some(rec),
+            EventKind::Fault { rec } => {
+                self.degraded |= rec.kind == "degraded";
+                self.faults.push(rec);
+            }
+            EventKind::Counter { name, value } => {
+                match self.counters.iter_mut().find(|(n, _)| *n == name) {
+                    Some((_, v)) => *v = value,
+                    None => self.counters.push((name, value)),
+                }
+            }
+            EventKind::Histogram { name, hist } => self.histograms.push((name, *hist)),
+            EventKind::SpanBegin { .. }
+            | EventKind::SpanEnd { .. }
+            | EventKind::Flow { .. }
+            | EventKind::RunEnd { .. } => {}
+        }
+    }
+
     /// A copy with every wall-clock time zeroed — the canonical form used
     /// by golden-file snapshots (wall times vary run to run; simulated
     /// times and all counters are deterministic). Wall-clock histograms
@@ -1385,13 +1443,12 @@ impl Recorder {
 
 impl Telemetry for Recorder {
     fn run_start(&mut self, engine: &str, width: usize, height: usize, config: &Config) {
-        self.report = TelemetryReport {
+        self.report.apply(EventKind::RunStart {
             engine: engine.to_string(),
             width,
             height,
-            config: Some(ConfigRecord::of(config)),
-            ..TelemetryReport::default()
-        };
+            config: ConfigRecord::of(config),
+        });
         self.finished = false;
         self.open_spans.clear();
         self.span_mismatches = 0;
@@ -1412,55 +1469,44 @@ impl Telemetry for Recorder {
     }
 
     fn stage(&mut self, span: StageSpan) {
-        self.report.stages.push(span);
+        self.report.apply(EventKind::Stage { span });
     }
 
     fn split_done(&mut self, iterations: u32, num_squares: usize) {
-        self.report.split_iterations = iterations;
-        self.report.num_squares = num_squares;
+        self.report.apply(EventKind::SplitDone {
+            iterations,
+            num_squares,
+        });
     }
 
     fn merge_iteration(&mut self, rec: MergeIterationRecord) {
-        if rec.merges == 0 {
-            self.report.stall_iterations += 1;
-        }
-        if rec.used_fallback {
-            self.report.fallback_iterations += 1;
-        }
-        self.report.merge_iterations.push(rec);
+        self.report.apply(EventKind::MergeIteration { rec });
     }
 
     fn merge_done(&mut self, num_regions: usize) {
-        self.report.num_regions = num_regions;
+        self.report.apply(EventKind::MergeDone { num_regions });
     }
 
     fn comm(&mut self, rec: CommRecord) {
-        self.report.comm = Some(rec);
+        self.report.apply(EventKind::Comm { rec });
     }
 
     fn fault(&mut self, rec: FaultRecord) {
-        if rec.kind == "degraded" {
-            self.report.degraded = true;
-        }
-        self.report.faults.push(rec);
+        self.report.apply(EventKind::Fault { rec });
     }
 
     fn counter(&mut self, name: &str, value: f64) {
-        // Counters are a *current value* track: re-emitting a name (the
-        // message-passing engine updates cumulative `comm.*` counters per
-        // iteration) overwrites in place, so the report holds the final
-        // value once per name and its JSON object keys stay unique.
-        // Streaming sinks see every intermediate emission.
-        match self.report.counters.iter_mut().find(|(n, _)| n == name) {
-            Some((_, v)) => *v = value,
-            None => self.report.counters.push((name.to_string(), value)),
-        }
+        self.report.apply(EventKind::Counter {
+            name: name.to_string(),
+            value,
+        });
     }
 
     fn histogram(&mut self, name: &str, hist: &Histogram) {
-        self.report
-            .histograms
-            .push((name.to_string(), hist.clone()));
+        self.report.apply(EventKind::Histogram {
+            name: name.to_string(),
+            hist: Box::new(hist.clone()),
+        });
     }
 
     fn run_end(&mut self) {

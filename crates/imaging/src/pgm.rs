@@ -190,9 +190,17 @@ impl<R: Read> HeaderScanner<R> {
     }
 }
 
+/// The most [`read`] allocates from the header's dimensions before the
+/// pixel data arrives (64 MiB). Valid images up to this size are read into
+/// one up-front allocation; larger ones grow as their bytes are read.
+const MAX_PRESIZE: usize = 64 << 20;
+
 /// Reads a PGM stream (either flavour) into an image.
 ///
-/// Intensities wider than `P` are rejected with [`PgmError::Range`].
+/// Intensities wider than `P` are rejected with [`PgmError::Range`]; a
+/// header whose dimensions overflow or whose pixel data is cut short is
+/// rejected with [`PgmError::Malformed`], never by aborting on a huge
+/// allocation.
 pub fn read<P: Intensity, R: BufRead>(mut r: R) -> Result<Image<P>, PgmError> {
     let mut scanner = HeaderScanner::new(&mut r);
     let magic = scanner.token()?;
@@ -220,24 +228,36 @@ pub fn read<P: Intensity, R: BufRead>(mut r: R) -> Result<Image<P>, PgmError> {
             P::MAX_VALUE.to_u32()
         )));
     }
-    let n = width * height;
-    let mut data = Vec::with_capacity(n);
-    if binary {
+    let too_big = || PgmError::Malformed(format!("{width}x{height} image is too large"));
+    let n = width.checked_mul(height).ok_or_else(too_big)?;
+    let data = if binary {
         // Per the spec exactly one whitespace byte follows maxval; the
-        // scanner has already consumed it as the token delimiter.
-        if maxval <= 255 {
-            let mut buf = vec![0u8; n];
-            r.read_exact(&mut buf)?;
-            data.extend(buf.into_iter().map(|b| P::from_u32_saturating(b as u32)));
+        // scanner has already consumed it as the token delimiter. The body
+        // is read through `take`, so a header promising more bytes than the
+        // stream holds costs at most `MAX_PRESIZE` before it is rejected.
+        let wide = maxval > 255;
+        let len = n
+            .checked_mul(if wide { 2 } else { 1 })
+            .ok_or_else(too_big)?;
+        let mut buf = Vec::with_capacity(len.min(MAX_PRESIZE));
+        r.take(len as u64).read_to_end(&mut buf)?;
+        if buf.len() < len {
+            return Err(PgmError::Malformed(format!(
+                "pixel data truncated: expected {len} bytes, found {}",
+                buf.len()
+            )));
+        }
+        if wide {
+            buf.chunks_exact(2)
+                .map(|c| P::from_u32_saturating(u16::from_be_bytes([c[0], c[1]]) as u32))
+                .collect()
         } else {
-            let mut buf = vec![0u8; n * 2];
-            r.read_exact(&mut buf)?;
-            data.extend(
-                buf.chunks_exact(2)
-                    .map(|c| P::from_u32_saturating(u16::from_be_bytes([c[0], c[1]]) as u32)),
-            );
+            buf.iter()
+                .map(|&b| P::from_u32_saturating(b as u32))
+                .collect()
         }
     } else {
+        let mut data = Vec::with_capacity(n.min(MAX_PRESIZE / std::mem::size_of::<P>()));
         for _ in 0..n {
             let v = scanner.number()?;
             if v > maxval {
@@ -247,7 +267,8 @@ pub fn read<P: Intensity, R: BufRead>(mut r: R) -> Result<Image<P>, PgmError> {
             }
             data.push(P::from_u32_saturating(v));
         }
-    }
+        data
+    };
     Ok(Image::from_vec(width, height, data))
 }
 
@@ -327,7 +348,24 @@ mod tests {
     fn rejects_truncated_binary() {
         let mut buf = b"P5\n4 4\n255\n".to_vec();
         buf.extend_from_slice(&[1, 2, 3]); // 13 bytes short
-        assert!(matches!(read::<u8, _>(&buf[..]), Err(PgmError::Io(_))));
+        let err = read::<u8, _>(&buf[..]).unwrap_err();
+        assert!(matches!(err, PgmError::Malformed(_)), "{err:?}");
+        assert!(
+            err.to_string().contains("expected 16 bytes, found 3"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn rejects_huge_header_without_allocating_it() {
+        let text = b"P5\n2000000000 2000000000\n255\n";
+        let err = read::<u8, _>(&text[..]).unwrap_err();
+        assert!(err.to_string().contains("found 0"), "{err}");
+        let text = b"P5\n4294967295 4294967295\n65535\n\x01";
+        assert!(matches!(
+            read::<u16, _>(&text[..]),
+            Err(PgmError::Malformed(_))
+        ));
     }
 
     #[test]

@@ -113,4 +113,31 @@ proptest! {
         }
         let _ = pgm::read::<u8, _>(&buf[..]);
     }
+
+    /// Header fuzz: any dimensions up to `u32::MAX` followed by fewer
+    /// samples than they promise must be rejected with an error, never a
+    /// panic or an allocation abort sized from the header.
+    #[test]
+    fn decoder_rejects_short_bodies_for_any_header(
+        w in prop_oneof![1u32..64, 1u32..=u32::MAX],
+        h in prop_oneof![1u32..64, 1u32..=u32::MAX],
+        wide in proptest::bool::ANY,
+        ascii in proptest::bool::ANY,
+        body in proptest::collection::vec(any::<u8>(), 0..64),
+    ) {
+        let (maxval, bytes_per_sample) = if wide { (65_535, 2) } else { (255, 1) };
+        let samples = u128::from(w) * u128::from(h);
+        let magic = if ascii { "P2" } else { "P5" };
+        let mut buf = format!("{magic}\n{w} {h}\n{maxval}\n").into_bytes();
+        if ascii {
+            let keep = body.len().min((samples - 1).min(64) as usize);
+            for b in &body[..keep] {
+                buf.extend_from_slice(format!("{b} ").as_bytes());
+            }
+        } else {
+            let keep = body.len().min((samples * bytes_per_sample - 1).min(64) as usize);
+            buf.extend_from_slice(&body[..keep]);
+        }
+        prop_assert!(pgm::read::<u16, _>(&buf[..]).is_err());
+    }
 }

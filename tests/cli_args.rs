@@ -159,6 +159,23 @@ fn empty_glob_batch_exits_2_with_message() {
 }
 
 #[test]
+fn oversized_pgm_header_exits_cleanly() {
+    // A 30-byte file whose header promises 4e18 pixels must be rejected
+    // with a message, not abort (exit 134) on an allocation sized from it.
+    let path = std::env::temp_dir().join(format!("rgrow_huge_header_{}.pgm", std::process::id()));
+    std::fs::write(&path, b"P5\n2000000000 2000000000\n255\n").unwrap();
+    let out = rgrow(&[path.to_str().unwrap()]);
+    std::fs::remove_file(&path).ok();
+    let code = out.status.code();
+    assert!(
+        code.is_some() && code != Some(0) && code != Some(134),
+        "{code:?}"
+    );
+    let err = stderr(&out);
+    assert!(err.contains("cannot read"), "{err}");
+}
+
+#[test]
 fn bad_demo_size_exits_2() {
     for bad in ["nested:0", "nested:huge", "image3:128"] {
         let out = rgrow(&["--demo", bad]);

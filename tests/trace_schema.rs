@@ -8,14 +8,13 @@ use cm_sim::CostModel;
 use cmmd_sim::CommScheme;
 use rg_core::{
     chrome_trace, chrome_trace_multi, parse_journal, replay, split_runs, validate_chrome_trace,
-    validate_journal, Config, Event, EventKind, EventLog, SpanKind, Telemetry, TieBreak,
+    validate_journal, Config, Event, EventKind, EventLog, Fanout, Recorder, SpanKind, Telemetry,
+    TieBreak,
 };
 use rg_imaging::synth;
 
-/// Runs one engine with an in-memory event log and returns the stream.
-fn traced(engine: &str, img: &rg_imaging::GrayImage, cfg: &Config) -> Vec<Event> {
-    let mut log = EventLog::in_memory();
-    let tel: &mut dyn Telemetry = &mut log;
+/// Runs one engine with telemetry sent to `tel`.
+fn run(engine: &str, img: &rg_imaging::GrayImage, cfg: &Config, tel: &mut dyn Telemetry) {
     match engine {
         "seq" => {
             rg_core::segment_with_telemetry(img, cfg, tel);
@@ -40,6 +39,12 @@ fn traced(engine: &str, img: &rg_imaging::GrayImage, cfg: &Config) -> Vec<Event>
         }
         other => panic!("unknown engine {other}"),
     }
+}
+
+/// Runs one engine with an in-memory event log and returns the stream.
+fn traced(engine: &str, img: &rg_imaging::GrayImage, cfg: &Config) -> Vec<Event> {
+    let mut log = EventLog::in_memory();
+    run(engine, img, cfg, &mut log);
     log.into_events()
 }
 
@@ -58,7 +63,15 @@ fn scene() -> (rg_imaging::GrayImage, Config) {
 fn every_engine_journal_is_balanced_and_strictly_nested() {
     let (img, cfg) = scene();
     for engine in ALL_ENGINES {
-        let events = traced(engine, &img, &cfg);
+        let mut log = EventLog::in_memory();
+        let mut rec = Recorder::new();
+        run(
+            engine,
+            &img,
+            &cfg,
+            &mut Fanout::new(vec![&mut log, &mut rec]),
+        );
+        let events = log.into_events();
         assert!(
             events.len() > 10,
             "{engine}: suspiciously small journal ({} events)",
@@ -72,12 +85,13 @@ fn every_engine_journal_is_balanced_and_strictly_nested() {
         assert!(!stats.truncated, "{engine}");
         assert_eq!(parsed, events, "{engine}: JSONL round trip lost events");
 
-        // A replayed journal reproduces the recorded report semantics.
+        // A replayed journal reproduces the live report exactly.
         let report = replay(&events);
         assert!(report.num_regions > 0, "{engine}");
-        assert!(
-            !report.engine.is_empty(),
-            "{engine}: replay lost the engine label"
+        assert_eq!(
+            report.without_wall_times(),
+            rec.report().without_wall_times(),
+            "{engine}: replay differs from the Recorder report"
         );
     }
 }
