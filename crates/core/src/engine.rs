@@ -1,7 +1,6 @@
 //! Top-level segmentation pipeline: split → RAG → merge → labels.
 
 use crate::config::Config;
-use crate::graph::Rag;
 use crate::hierarchy::MergeTrace;
 use crate::merge::{MergeSummary, Merger};
 use crate::split::SplitResult;
@@ -178,18 +177,7 @@ pub fn merge_from_split<P: Intensity>(
     config: &Config,
     parallel: bool,
 ) -> (MergeSummary, Vec<u32>) {
-    let rag = if parallel {
-        Rag::from_split_par(split_result, config.connectivity)
-    } else {
-        Rag::from_split(split_result, config.connectivity)
-    };
-    let stride = split_result.width as u32;
-    let ids: Vec<u64> = split_result
-        .squares
-        .iter()
-        .map(|s| s.id(stride) as u64)
-        .collect();
-    let mut merger = Merger::new(rag, ids, config, parallel);
+    let mut merger = Merger::from_split(split_result, config, parallel);
     let summary = merger.run();
     let by_vertex = merger.labels_by_vertex();
     let labels: Vec<u32> = if parallel {

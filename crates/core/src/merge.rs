@@ -25,31 +25,39 @@
 //! ([`crate::config::MergeBackend`]):
 //!
 //! * **CSR** (default): a compressed-sparse-row adjacency structure in the
-//!   spirit of the CM implementations' flat arrays. Each original vertex
-//!   owns a *row* of directed neighbour slots. One pass at the end of
-//!   every iteration redirects endpoints through the iteration's one-level
-//!   redirect table (exact, because a representative never loses in the
-//!   iteration it wins), drops self-loops / per-owner duplicates /
-//!   criterion-violating slots, squeezes the surviving slots in place, and
-//!   pre-folds the next iteration's per-region choice minima — no
-//!   per-iteration edge-list rebuild, no global sort, no steady-state
-//!   allocation. The pass is picked per iteration from counts the merger
-//!   keeps: the full sweep streams a squeezed list of live rows in order,
-//!   at O(live slots + live rows) with no O(vertices) floor; under a
-//!   deterministic tie policy, when few regions merged, the incremental
-//!   pass rescans only the merged pairs' neighbourhoods. No dead slot is
-//!   ever rescanned, and an emptied row at most once.
+//!   spirit of the CM implementations' flat arrays, kept over the
+//!   *current* regions only. Its lifecycle is linear:
+//!   - *build*: [`Merger::reset_from_split`] scans the split's pixel →
+//!     square map twice (count degrees, scatter slots) and
+//!     [`Merger::reset_from`] streams an edge list the same way; one row
+//!     pass then drops duplicate and criterion-violating slots and folds
+//!     iteration 0's choices. No pair list, no sort.
+//!   - *end of step*: one pass redirects endpoints through the
+//!     iteration's one-level redirect table (exact, because a
+//!     representative never loses in the iteration it wins), drops
+//!     self-loops / duplicates / criterion-violating slots, squeezes the
+//!     survivors and pre-folds the next iteration's choices — no
+//!     per-iteration edge-list rebuild, no global sort, no steady-state
+//!     allocation. Under a deterministic tie policy, when few regions
+//!     merged, an incremental pass rescans only the merged pairs'
+//!     neighbourhoods; otherwise a full sweep walks the live owners in
+//!     ascending order.
+//!   - *contraction*: every full sweep after a productive iteration
+//!     renumbers the surviving owners onto a dense, order-preserving
+//!     vertex space and gives each one a single contiguous row, so the
+//!     arrays shrink with the graph and the next sweep streams them in
+//!     order. The merge history and trace stay in original indices.
 //! * **Reference**: the original edge-list engine that rebuilds, re-sorts
 //!   and re-dedups the whole list every iteration. Kept for differential
 //!   testing and as the perf baseline pinned in `tests/bench_guards.rs`.
 //!
 //! Both backends produce byte-identical merge histories: the candidate
 //! argmin is order-invariant (strict total order per chooser, see
-//! `prop_tiebreak.rs`), duplicate parallel edges never change a minimum,
-//! and the CSR backend filters criterion-violating slots *eagerly* at the
-//! end of each iteration — exactly when the reference filters — so the
-//! de-activation schedule, the iteration count, and the stall/fallback
-//! behaviour coincide.
+//! `prop_tiebreak.rs`), every CSR pass dedups each owner's neighbours
+//! exactly, and the CSR backend filters criterion-violating slots
+//! *eagerly* at the end of each iteration — exactly when the reference
+//! filters — so the de-activation schedule, the active-edge counts, the
+//! iteration count, and the stall/fallback behaviour coincide.
 //!
 //! ### Termination
 //!
@@ -70,11 +78,12 @@
 //! seed.
 
 use crate::config::{
-    mean_satisfies, mean_weight_fp16, range_satisfies, range_weight_fp16, Config, Criterion,
-    MergeBackend, RegionStats, TieBreak,
+    mean_satisfies, mean_weight_fp16, range_satisfies, range_weight_fp16, Config, Connectivity,
+    Criterion, MergeBackend, RegionStats, TieBreak,
 };
-use crate::graph::Rag;
+use crate::graph::{bucket_label_pairs, for_each_boundary_pair, pixel_pairs_bound, Rag};
 use crate::hierarchy::{MergeEvent, MergeTrace};
+use crate::split::SplitResult;
 use crate::telemetry::{NullTelemetry, SpanGuard, SpanKind, Telemetry};
 use rayon::prelude::*;
 use rg_dsu::DisjointSets;
@@ -159,10 +168,8 @@ pub struct StepReport {
     pub merges: u32,
     /// `true` when the stall guard forced a smallest-ID iteration.
     pub used_fallback: bool,
-    /// Active undirected edges remaining *after* this iteration. The CSR
-    /// backend counts parallel duplicate edges retained between
-    /// compactions, so this may exceed the reference backend's
-    /// deduplicated count on the same input.
+    /// Active undirected edges remaining *after* this iteration (the same
+    /// deduplicated count under both backends).
     pub active_edges: u64,
     /// `true` when the CSR backend compacted its slot array this
     /// iteration.
@@ -279,16 +286,87 @@ struct HotVertex {
     id: u64,
 }
 
+/// Binds `$weight(o, c)` (the 16.16 weight that ranks a candidate) and
+/// `$keeps(o, c, weight)` (the de-activation predicate) for `$crit` and
+/// evaluates `$body` with them, so the CSR passes monomorphise per
+/// criterion with no per-slot dispatch.
+macro_rules! with_kernels {
+    ($stats:expr, $hot:expr, $crit:expr, $t:expr, |$weight:ident, $keeps:ident| $body:expr) => {{
+        let (stats, hot, t) = ($stats, $hot, $t);
+        match $crit {
+            Criterion::PixelRange => {
+                // `range_weight_fp16` is exactly the union range in 16.16,
+                // so the criterion test is a comparison of the weight the
+                // ranking needs anyway against `threshold << 16` — one
+                // extrema gather serves both filter and argmin.
+                let cut = u64::from(t) << 16;
+                let $weight = |o: usize, c: usize| {
+                    let (a, b) = (hot[o], hot[c]);
+                    range_weight_fp16(a.min.min(b.min), a.max.max(b.max))
+                };
+                let $keeps = |_: usize, _: usize, wk: u64| wk <= cut;
+                let _ = stats;
+                $body
+            }
+            Criterion::MeanDifference => {
+                let $weight = |o: usize, c: usize| {
+                    mean_weight_fp16(stats.sum[o], stats.cnt[o], stats.sum[c], stats.cnt[c])
+                };
+                // Floor division makes the 16.16 mean distance an inexact
+                // proxy for the criterion; keep the exact integer predicate.
+                let $keeps = |o: usize, c: usize, _: u64| {
+                    mean_satisfies(stats.sum[o], stats.cnt[o], stats.sum[c], stats.cnt[c], t)
+                };
+                $body
+            }
+        }
+    }};
+}
+
 /// "No row" marker for the owner→rows linked lists.
 const NO_ROW: u32 = u32::MAX;
 
+/// Undirected adjacency pairs the CSR build streams twice: once to count
+/// row degrees, once to scatter the slots.
+trait PairSource {
+    fn for_each(&self, f: impl FnMut(u32, u32));
+}
+
+impl PairSource for [(u32, u32)] {
+    fn for_each(&self, mut f: impl FnMut(u32, u32)) {
+        for &(u, v) in self {
+            f(u, v);
+        }
+    }
+}
+
+/// The boundary pairs of a split's pixel → square map
+/// ([`crate::graph::for_each_boundary_pair`]), duplicates and all.
+struct PixelPairs<'a> {
+    labels: &'a [u32],
+    width: usize,
+    height: usize,
+    connectivity: Connectivity,
+}
+
+impl PairSource for PixelPairs<'_> {
+    fn for_each(&self, f: impl FnMut(u32, u32)) {
+        for_each_boundary_pair(self.labels, self.width, self.height, self.connectivity, f);
+    }
+}
+
 /// The CSR adjacency state plus all persistent scratch, so steady-state
 /// iterations perform no heap allocation.
+///
+/// Everything here is indexed in the merger's *current* vertex space: the
+/// original vertices until the first contraction, the live owners it kept
+/// afterwards (see [`Merger`]'s `orig`).
 #[derive(Debug)]
 struct Csr {
-    /// Static row extents, one row per *original* vertex (`len = n + 1`).
-    /// Never rewritten: row `r`'s slots live in
-    /// `col[row_ptr[r] .. row_ptr[r] + row_len[r]]`.
+    /// Row extents, one row per vertex (`len = vertices + 1`): row `r`'s
+    /// slots live in `col[row_ptr[r] .. row_ptr[r] + row_len[r]]`. Fixed
+    /// between contractions; a contraction lays out one gap-free row per
+    /// kept owner.
     row_ptr: Vec<u32>,
     /// Live slots of each row. Survivors are squeezed to the row start by
     /// every pass, so the dead tail of an extent is never rescanned (no
@@ -297,81 +375,75 @@ struct Csr {
     /// Directed neighbour slots. Every slot holds the *current
     /// representative* of the neighbouring region.
     col: Vec<u32>,
-    /// Current representative of the region that owns row `r`.
-    row_owner: Vec<u32>,
-    /// The live-row list the full sweep walks, in ascending row order:
-    /// every row with a live slot, possibly plus rows the incremental
-    /// pass has emptied since the last sweep (the next sweep drops them).
-    /// Squeezed in place by every full sweep, so its cost is O(live slots
-    /// + live rows), never O(original vertices).
-    rows: Vec<u32>,
-    /// Number of live directed slots (`== row_len` sum). Not necessarily
-    /// even: the two directions of a duplicated edge may deduplicate at
-    /// different times.
+    /// The owners the full sweep walks, ascending: every region holding a
+    /// live slot, possibly plus regions merged away or emptied by an
+    /// incremental pass since the last sweep (their row lists are empty,
+    /// and the sweep drops them). Squeezed by every full sweep, so its
+    /// cost is O(live slots + live owners), never O(vertices).
+    owners: Vec<u32>,
+    /// Number of live directed slots (`== row_len` sum). Each owner names
+    /// each neighbour at most once after every pass, so this is twice the
+    /// active undirected edge count.
     live: usize,
     /// Head of each vertex's list of owned rows (`NO_ROW` = owns none).
-    /// Loser lists are spliced into the winner's on every merge under
-    /// deterministic tie policies, so the incremental pass can enumerate a
-    /// dirty region's rows — and, via their slots, its neighbours —
-    /// without any global scan. Emptied rows are unlinked lazily.
+    /// Loser lists are spliced onto the winner's on every merge, so every
+    /// pass reaches all of a region's slots — and, through them, its
+    /// neighbours — by walking one list. Emptied rows are unlinked.
     row_head: Vec<u32>,
     /// Tail of each vertex's row list (for O(1) splicing).
     row_tail: Vec<u32>,
     /// Next row in the owning vertex's list.
     row_next: Vec<u32>,
-    /// Per-vertex pass marks: `seen[v] == iteration + 1` iff `v` has been
-    /// visited by the current end-of-step pass (the incremental pass's
-    /// dirty set; the full sweep's first-row-of-this-owner test).
+    /// Per-vertex marks: `seen[v] == iteration + 1` iff the current
+    /// incremental pass has put `v` in its dirty set. A contraction
+    /// borrows it as the old → new vertex map and clears it.
     seen: Vec<u32>,
     /// Scratch: dirty vertices of the current incremental pass.
     dirty: Vec<u32>,
     /// Per-neighbour stamp for per-owner duplicate detection; a fresh
-    /// token per (owner, pass) makes the check exact with no clearing.
+    /// token per (owner, pass) makes the check exact with no clearing,
+    /// because every pass visits each owner's rows consecutively.
     stamp: Vec<u64>,
     /// Next stamp token block (monotonically increasing, starts at 1
     /// because `stamp` is zero-initialised).
     next_token: u64,
-    /// Scratch: per-row minima for the parallel choice pass, sized by
-    /// [`Csr::row_minima_par`] on first use (sequential runs never pay
-    /// for it).
-    row_best: Vec<CandKey>,
-    /// Owners whose `best`/`choice` entries the last end-of-step pass
-    /// recomputed, each listed once: every live owner after a full sweep,
-    /// the dirty set after an incremental pass. The next apply step scans
-    /// only these — every other owner's choice is unchanged, so it cannot
-    /// be part of a new mutual pair.
+    /// Owners whose `choice` the last pass recomputed, each listed once:
+    /// every live owner after the build or a full sweep, the dirty set
+    /// after an incremental pass. The next apply step scans only these —
+    /// every other owner's choice is unchanged, so it cannot be part of a
+    /// new mutual pair.
     touched: Vec<u32>,
-    /// `true` when the end-of-step pass has already folded the next
-    /// iteration's per-owner minima into the `Merger`'s `best` array, so
-    /// the next choice pass is a table read instead of a sweep (and
-    /// `touched` is valid).
-    precomputed: bool,
-    /// The (policy, iteration) the precomputed minima were folded under —
-    /// cross-checked against the choice pass in debug builds.
+    /// The (policy, iteration) the last pass folded the choice minima
+    /// under — cross-checked against the choice pass in debug builds.
     precomputed_for: (TieBreak, u32),
+    /// Contraction scratch: the old index of each kept owner, ascending.
+    kept: Vec<u32>,
+    /// Contraction target for the kept owners' row extents, swapped with
+    /// `row_ptr` when the contraction is installed.
+    next_ptr: Vec<u32>,
+    /// Contraction target for the kept owners' slots, swapped with `col`.
+    next_col: Vec<u32>,
+    /// `false` only in unit tests that compare against the uncontracted
+    /// layout.
+    #[cfg(test)]
+    contracts: bool,
     /// Kind of every end-of-step pass so far (`true` = incremental), so
     /// unit tests can assert which traversals a run exercised.
     #[cfg(test)]
     incremental_log: Vec<bool>,
+    /// Vertex-space size after every contraction so far.
+    #[cfg(test)]
+    contraction_log: Vec<usize>,
 }
 
 impl Csr {
-    /// Builds the CSR over `n` vertices from a canonical (`u < v`, unique)
-    /// edge list, materialising both directions.
-    fn new(n: usize, edges: &[(u32, u32)]) -> Self {
-        let mut csr = Self::empty();
-        csr.rebuild(n, edges);
-        csr
-    }
-
-    /// An empty CSR (no allocation until [`Csr::rebuild`]).
+    /// An empty CSR (no allocation until [`Csr::fill`]).
     fn empty() -> Self {
         Self {
             row_ptr: Vec::new(),
             row_len: Vec::new(),
             col: Vec::new(),
-            row_owner: Vec::new(),
-            rows: Vec::new(),
+            owners: Vec::new(),
             live: 0,
             row_head: Vec::new(),
             row_tail: Vec::new(),
@@ -380,76 +452,92 @@ impl Csr {
             dirty: Vec::new(),
             stamp: Vec::new(),
             next_token: 1,
-            row_best: Vec::new(),
             touched: Vec::new(),
-            precomputed: false,
             precomputed_for: (TieBreak::SmallestId, u32::MAX),
+            kept: Vec::new(),
+            next_ptr: Vec::new(),
+            next_col: Vec::new(),
+            #[cfg(test)]
+            contracts: true,
             #[cfg(test)]
             incremental_log: Vec::new(),
+            #[cfg(test)]
+            contraction_log: Vec::new(),
         }
     }
 
-    /// Re-initialises the CSR over `n` vertices from a canonical edge list
-    /// **in place**, reusing every array's capacity (`row_len` doubles as
-    /// the fill cursor, so no temporary is needed). Equivalent to
-    /// `*self = Csr::new(n, edges)` but allocation-free in steady state.
-    fn rebuild(&mut self, n: usize, edges: &[(u32, u32)]) {
-        let slots = edges.len() * 2;
-        assert!(slots < u32::MAX as usize, "CSR slot count exceeds u32");
+    /// Re-initialises the CSR over `n` vertices **in place**, reusing every
+    /// array's capacity: one stream of `pairs` counts both directions'
+    /// degrees, a second scatters the slots (`row_len` doubles as the fill
+    /// cursor, so no temporary is needed). Duplicate and
+    /// criterion-violating slots stay until the build's first
+    /// [`Csr::sweep`].
+    fn fill(&mut self, n: usize, pairs: &(impl PairSource + ?Sized)) {
+        // Contractions swap the layout buffers; build in the larger pair
+        // so that, once warm, neither ever has to grow.
+        if self.col.capacity() < self.next_col.capacity() {
+            std::mem::swap(&mut self.col, &mut self.next_col);
+            std::mem::swap(&mut self.row_ptr, &mut self.next_ptr);
+        }
         self.row_ptr.clear();
         self.row_ptr.resize(n + 1, 0);
-        for &(u, v) in edges {
+        pairs.for_each(|u, v| {
             self.row_ptr[u as usize + 1] += 1;
             self.row_ptr[v as usize + 1] += 1;
-        }
+        });
         for i in 0..n {
             self.row_ptr[i + 1] += self.row_ptr[i];
         }
+        let slots = self.row_ptr[n] as usize;
         // `row_len` serves as the per-row fill cursor during scatter...
         self.row_len.clear();
         self.row_len.extend_from_slice(&self.row_ptr[..n]);
         self.col.clear();
         self.col.resize(slots, 0);
-        for &(u, v) in edges {
+        pairs.for_each(|u, v| {
             self.col[self.row_len[u as usize] as usize] = v;
             self.row_len[u as usize] += 1;
             self.col[self.row_len[v as usize] as usize] = u;
             self.row_len[v as usize] += 1;
-        }
-        // ...then becomes the live slot count of each row.
+        });
+        // ...then becomes the slot count of each row.
         for r in 0..n {
             self.row_len[r] = self.row_ptr[r + 1] - self.row_ptr[r];
         }
-        self.row_owner.clear();
-        self.row_owner.extend(0..n as u32);
-        let row_len = &self.row_len;
-        self.rows.clear();
-        self.rows
-            .extend((0..n as u32).filter(|&r| row_len[r as usize] > 0));
         self.live = slots;
+        // Tokens restart, so no stale stamp may survive.
+        self.stamp.clear();
+        self.reset_vertices(n);
+        self.next_token = 1;
+        #[cfg(test)]
+        self.incremental_log.clear();
+        #[cfg(test)]
+        self.contraction_log.clear();
+    }
+
+    /// Per-vertex state for `n` vertices that each own row `v` alone:
+    /// singleton row lists, the owner list (rows with a slot), clean marks.
+    /// Stale stamps are harmless (below every future token) but the array
+    /// must span the space.
+    fn reset_vertices(&mut self, n: usize) {
         self.row_head.clear();
         self.row_head.extend(0..n as u32);
         self.row_tail.clear();
         self.row_tail.extend(0..n as u32);
         self.row_next.clear();
         self.row_next.resize(n, NO_ROW);
+        let row_len = &self.row_len;
+        self.owners.clear();
+        self.owners
+            .extend((0..n as u32).filter(|&r| row_len[r as usize] > 0));
         self.seen.clear();
         self.seen.resize(n, 0);
-        self.dirty.clear();
-        self.stamp.clear();
         self.stamp.resize(n, 0);
-        self.next_token = 1;
-        self.touched.clear();
-        self.touched.reserve(n);
-        self.precomputed = false;
-        self.precomputed_for = (TieBreak::SmallestId, u32::MAX);
-        #[cfg(test)]
-        self.incremental_log.clear();
+        self.stamp.truncate(n);
+        self.dirty.clear();
     }
 
-    /// Appends loser `v`'s row list to winner `u`'s (O(1)). The rows'
-    /// `row_owner` fields are rewritten lazily by the next pass that walks
-    /// them.
+    /// Appends loser `v`'s row list to winner `u`'s (O(1)).
     fn splice(&mut self, u: usize, v: usize) {
         let vh = self.row_head[v];
         if vh == NO_ROW {
@@ -466,164 +554,197 @@ impl Csr {
         self.row_tail[v] = NO_ROW;
     }
 
-    /// Parallel half of the choice pass: the minimum [`CandKey`] of every
-    /// row into `row_best` (rows are independent, so the writes are too).
-    /// The caller folds rows into per-representative minima sequentially —
-    /// the argmin is order-invariant, so the split is free of races *and*
-    /// of nondeterminism.
-    fn row_minima_par<P: Intensity>(
-        &mut self,
-        stats: &SoaStats<P>,
-        crit: Criterion,
-        ids: &[u64],
-        policy: TieBreak,
-        iteration: u32,
-    ) {
-        const CHUNK: usize = 256;
-        self.row_best.clear();
-        self.row_best.resize(self.row_owner.len(), KEY_SENTINEL);
-        let Csr {
-            row_ptr,
-            row_len,
-            col,
-            row_owner,
-            row_best,
-            ..
-        } = self;
-        let (row_ptr, row_len, col, row_owner) = (&*row_ptr, &*row_len, &*col, &*row_owner);
-        row_best
-            .par_chunks_mut(CHUNK)
-            .enumerate()
-            .for_each(|(ci, chunk)| {
-                let base = ci * CHUNK;
-                for (j, slot) in chunk.iter_mut().enumerate() {
-                    let r = base + j;
-                    let s = row_ptr[r] as usize;
-                    let e = s + row_len[r] as usize;
-                    let mut b = KEY_SENTINEL;
-                    if s < e {
-                        let o = row_owner[r] as usize;
-                        let chooser = ids[o];
-                        for &c in &col[s..e] {
-                            let w = stats.weight(crit, o, c as usize);
-                            let (k0, k1) = tie_key(policy, iteration, chooser, ids[c as usize]);
-                            let k = (w, k0, k1, c);
-                            if k < b {
-                                b = k;
-                            }
-                        }
-                    }
-                    *slot = b;
-                }
-            });
+    /// Plans an order-preserving contraction for the coming full sweep
+    /// from the owner list alone (no slot is read): the kept vertices are
+    /// the owners that still own rows — by slot symmetry, every vertex a
+    /// live slot names after this iteration's redirect is one of them —
+    /// and kept owner `o` becomes `seen[o]`, its rank among them, so
+    /// "representative = smaller index" and the [`CandKey`] candidate
+    /// order carry over unchanged. The sweep visits the kept owners in
+    /// that same order and appends each one's survivors to `next_col`.
+    fn plan_contraction(&mut self) {
+        self.kept.clear();
+        for &o in &self.owners {
+            if self.row_head[o as usize] != NO_ROW {
+                self.seen[o as usize] = self.kept.len() as u32;
+                self.kept.push(o);
+            }
+        }
+        self.next_ptr.clear();
+        self.next_col.clear();
+        self.next_col.reserve(self.live);
     }
 
-    /// The full end-of-step sweep: in **one** sequential pass over the
-    /// live-row list it
+    /// Installs the layout a contracting sweep wrote: kept owner `k` owns
+    /// row `k` alone, with no dead tail, and every per-vertex array shrinks
+    /// to the kept owners. The caller gathers its own per-vertex arrays
+    /// through `kept`.
+    fn finish_contraction(&mut self) {
+        let nk = self.kept.len();
+        self.next_ptr.push(self.next_col.len() as u32);
+        std::mem::swap(&mut self.row_ptr, &mut self.next_ptr);
+        std::mem::swap(&mut self.col, &mut self.next_col);
+        self.row_len.clear();
+        self.row_len
+            .extend(self.row_ptr.windows(2).map(|w| w[1] - w[0]));
+        self.reset_vertices(nk);
+        self.touched.clear();
+        self.touched.extend_from_slice(&self.owners);
+        #[cfg(test)]
+        self.contraction_log.push(nk);
+    }
+
+    /// Rescans every row owner `o` holds, in list order, under stamp
+    /// `token`:
     ///
-    /// 1. redirects row owners and candidate slots through the one-level
-    ///    `redirect` (exact, because an iteration's mutual pairs form a
-    ///    matching: a representative never loses in the iteration it wins);
-    /// 2. drops self-loops, per-owner duplicate neighbours, and slots whose
-    ///    merged endpoints no longer satisfy the criterion (`filter` mode,
-    ///    after a productive iteration);
-    /// 3. squeezes the surviving slots to the front of their row and the
-    ///    surviving rows to the front of `rows` (both write cursors never
-    ///    pass their read cursors, so the moves are in place, and
-    ///    afterwards no dead slot or empty row is left to be rescanned —
-    ///    compaction happens *every* productive pass for free, because the
-    ///    pass touches every live slot anyway);
-    /// 4. folds every survivor into `best` under the *next* iteration's
-    ///    tie policy and derives `choice` for exactly the owners that have
-    ///    one, so the next choice pass is a no-op.
-    ///
-    /// No O(vertices) refill is needed to start from clean `best`/`choice`
-    /// entries: each owner's entry is reset when the sweep reaches its
-    /// first row (`seen`). A non-sentinel entry only ever belongs to an
-    /// owner that holds a live slot — and so has a row in `rows` — or to a
-    /// merged loser, which owns no row and which no slot names after this
-    /// pass: its stale `best` is never read again, and no live owner's
-    /// choice names it, so its stale `choice` never completes a mutual
-    /// pair. That holds whichever
-    /// pass ran before, incremental or full; resetting only the entries
-    /// the previous pass wrote would not, because after an incremental
-    /// pass those are the dirty set alone.
-    ///
-    /// When `filter` is false (a stall iteration: no merge happened, no
-    /// statistic changed) steps 1–3 are vacuous and the pass degenerates to
-    /// the pure argmin rescan that re-randomised tie keys require.
+    /// 1. redirects each slot through the one-level `redirect` (exact,
+    ///    because an iteration's mutual pairs form a matching: a
+    ///    representative never loses in the iteration it wins);
+    /// 2. drops self-loops, duplicate neighbours (across all of `o`'s rows,
+    ///    since they are visited back to back) and slots whose merged
+    ///    endpoints no longer satisfy the criterion;
+    /// 3. squeezes the survivors to the front of their row and unlinks rows
+    ///    left empty — or, with `CONTRACT`, appends them renumbered
+    ///    (`seen`) to `next_col`, leaving the old layout to be dropped;
+    /// 4. folds every survivor into `o`'s best [`CandKey`] under `policy`
+    ///    at `iteration`, in the *old* numbering.
     ///
     /// Dropping a duplicate slot is free of semantic effect: the argmin is
-    /// invariant under duplicates, the criterion filter would kill every
-    /// copy together, and at least one copy per direction always survives.
+    /// invariant under duplicates, and the criterion filter would kill
+    /// every copy together.
+    ///
+    /// Returns `(best, slots read, slots dropped)`.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    fn rescan<const CONTRACT: bool, W, K>(
+        &mut self,
+        o: usize,
+        token: u64,
+        hot: &[HotVertex],
+        redirect: &[u32],
+        policy: TieBreak,
+        iteration: u32,
+        weight: &W,
+        keeps: &K,
+    ) -> (CandKey, u64, usize)
+    where
+        W: Fn(usize, usize) -> u64,
+        K: Fn(usize, usize, u64) -> bool,
+    {
+        let chooser = hot[o].id;
+        let mut b = KEY_SENTINEL;
+        let (mut read, mut dropped) = (0u64, 0usize);
+        let mut r = self.row_head[o];
+        let mut prev = NO_ROW;
+        while r != NO_ROW {
+            let ri = r as usize;
+            let next = self.row_next[ri];
+            let s = self.row_ptr[ri] as usize;
+            let len = self.row_len[ri] as usize;
+            read += len as u64;
+            let mut w = s; // in-row write cursor; never passes the read one
+            for j in s..s + len {
+                let c2 = redirect[self.col[j] as usize] as usize;
+                if c2 == o || self.stamp[c2] == token {
+                    continue;
+                }
+                let wk = weight(o, c2);
+                if !keeps(o, c2, wk) {
+                    continue;
+                }
+                self.stamp[c2] = token;
+                if CONTRACT {
+                    let nc = self.seen[c2];
+                    debug_assert_eq!(
+                        self.kept[nc as usize], c2 as u32,
+                        "slot names a dropped vertex"
+                    );
+                    self.next_col.push(nc);
+                } else {
+                    self.col[w] = c2 as u32;
+                    w += 1;
+                }
+                let (k0, k1) = tie_key(policy, iteration, chooser, hot[c2].id);
+                let k = (wk, k0, k1, c2 as u32);
+                if k < b {
+                    b = k;
+                }
+            }
+            if !CONTRACT {
+                let kept = w - s;
+                dropped += len - kept;
+                self.row_len[ri] = kept as u32;
+                if kept == 0 {
+                    // Unlink the emptied row so no future walk revisits it.
+                    if prev == NO_ROW {
+                        self.row_head[o] = next;
+                    } else {
+                        self.row_next[prev as usize] = next;
+                    }
+                    if next == NO_ROW {
+                        self.row_tail[o] = prev;
+                    }
+                } else {
+                    prev = r;
+                }
+            }
+            r = next;
+        }
+        (b, read, dropped)
+    }
+
+    /// The full end-of-step sweep: [`Csr::rescan`] of every live owner in
+    /// ascending order, in **one** pass over the owner list — so reading
+    /// every live slot once — that also
+    ///
+    /// * squeezes the owner list, dropping merged losers and owners left
+    ///   without a slot (afterwards no dead slot, empty row or dead owner
+    ///   is left to be rescanned — compaction happens *every* productive
+    ///   pass for free, because the pass touches every live slot anyway);
+    /// * derives `choice` for the *next* iteration from each owner's best
+    ///   key, so the next choice pass is a no-op.
+    ///
+    /// With `contract` (planned by [`Csr::plan_contraction`]) the owners
+    /// are renumbered as they are visited: each one's survivors form its
+    /// new row in `next_col`, and `choice` is written in the new numbering
+    /// (no old entry is read, and new index ≤ old index).
+    ///
+    /// On a stall iteration (no merge: identity redirect, no statistic
+    /// changed) nothing is dropped and the pass is the pure argmin rescan
+    /// that re-randomised tie keys require. The build runs this pass too,
+    /// with the identity redirect, to dedup and filter the raw rows
+    /// [`Csr::fill`] scattered and to fold iteration 0's choices.
     ///
     /// Returns `(ops, reclaimed)`: live slots read (the relabel-work
     /// counter) and dead slots squeezed out.
     #[allow(clippy::too_many_arguments)]
-    fn fused_pass<P: Intensity>(
+    fn sweep<P: Intensity>(
         &mut self,
         stats: &SoaStats<P>,
         hot: &[HotVertex],
         crit: Criterion,
         t: u32,
         redirect: &[u32],
-        filter: bool,
+        contract: bool,
         policy: TieBreak,
         iteration: u32,
-        best: &mut [CandKey],
         choice: &mut [u32],
     ) -> (u64, usize) {
-        match crit {
-            Criterion::PixelRange => {
-                // `range_weight_fp16` is exactly the union range in 16.16,
-                // so the criterion test is a comparison of the weight the
-                // ranking needs anyway against `threshold << 16` — one
-                // extrema gather serves both filter and argmin.
-                let cut = u64::from(t) << 16;
-                self.fused_pass_impl(
-                    hot,
-                    redirect,
-                    filter,
-                    policy,
-                    iteration,
-                    best,
-                    choice,
-                    |o, c| {
-                        let (a, b) = (hot[o], hot[c]);
-                        range_weight_fp16(a.min.min(b.min), a.max.max(b.max))
-                    },
-                    |_, _, wk| wk <= cut,
-                )
-            }
-            Criterion::MeanDifference => self.fused_pass_impl(
-                hot,
-                redirect,
-                filter,
-                policy,
-                iteration,
-                best,
-                choice,
-                |o, c| mean_weight_fp16(stats.sum[o], stats.cnt[o], stats.sum[c], stats.cnt[c]),
-                // Floor division makes the 16.16 mean distance an inexact
-                // proxy for the criterion; keep the exact integer predicate.
-                |o, c, _| mean_satisfies(stats.sum[o], stats.cnt[o], stats.sum[c], stats.cnt[c], t),
-            ),
-        }
+        with_kernels!(stats, hot, crit, t, |weight, keeps| if contract {
+            self.sweep_impl::<true, _, _>(hot, redirect, policy, iteration, choice, weight, keeps)
+        } else {
+            self.sweep_impl::<false, _, _>(hot, redirect, policy, iteration, choice, weight, keeps)
+        })
     }
 
-    /// Criterion-monomorphised body of [`Csr::fused_pass`]: `weight(o, c)`
-    /// ranks a candidate, `keeps(o, c, weight)` is the de-activation
-    /// predicate (both are loop-invariant closures, so the inner loop
-    /// specialises per criterion with no per-slot dispatch).
+    /// Criterion-monomorphised body of [`Csr::sweep`].
     #[allow(clippy::too_many_arguments)]
-    fn fused_pass_impl<W, K>(
+    fn sweep_impl<const CONTRACT: bool, W, K>(
         &mut self,
         hot: &[HotVertex],
         redirect: &[u32],
-        filter: bool,
         policy: TieBreak,
         iteration: u32,
-        best: &mut [CandKey],
         choice: &mut [u32],
         weight: W,
         keeps: K,
@@ -632,104 +753,73 @@ impl Csr {
         W: Fn(usize, usize) -> u64,
         K: Fn(usize, usize, u64) -> bool,
     {
-        let epoch = iteration + 1; // unique per pass, as in `fast_pass`
-        let mut ops = 0u64;
-        // Token `base + o` is unique to (pass, owner `o`), so every row
-        // owned by `o` shares one token and `stamp[c] == token` dedups the
-        // owner's duplicate neighbours *across rows* — the same
-        // per-iteration dedup schedule as the reference backend's rebuild,
-        // at O(live) cost.
+        // Token `base + o` is unique to (pass, owner `o`).
         let base = self.next_token;
         self.next_token += self.stamp.len() as u64;
-        self.touched.clear();
-        let mut live = 0usize;
-        let mut reclaimed = 0usize;
-        let mut kept_rows = 0usize;
-        for i in 0..self.rows.len() {
-            let r = self.rows[i] as usize;
-            let s = self.row_ptr[r] as usize;
-            let len = self.row_len[r] as usize;
-            if len == 0 {
-                continue; // emptied by an incremental pass since the last sweep
+        let (mut ops, mut reclaimed) = (0u64, 0usize);
+        let mut kept_owners = 0usize;
+        for i in 0..self.owners.len() {
+            let o = self.owners[i] as usize;
+            if self.row_head[o] == NO_ROW {
+                continue; // merged away, or emptied by an incremental pass
             }
-            let o = if filter {
-                let o = redirect[self.row_owner[r] as usize];
-                self.row_owner[r] = o;
-                o
-            } else {
-                self.row_owner[r]
-            } as usize;
-            let token = base + o as u64;
-            let chooser = hot[o].id;
-            let mut b = if self.seen[o] == epoch {
-                best[o]
-            } else {
-                self.seen[o] = epoch;
-                self.touched.push(o as u32);
-                KEY_SENTINEL
-            };
-            let mut w = s; // in-row write cursor; never passes the read one
-            for j in s..s + len {
-                let c = self.col[j];
-                let (c2, wk) = if filter {
-                    ops += 1;
-                    let c2 = redirect[c as usize] as usize;
-                    if c2 == o || self.stamp[c2] == token {
-                        continue;
-                    }
-                    let wk = weight(o, c2);
-                    if !keeps(o, c2, wk) {
-                        continue;
-                    }
-                    self.stamp[c2] = token;
-                    (c2 as u32, wk)
+            if CONTRACT {
+                self.next_ptr.push(self.next_col.len() as u32);
+            }
+            let (b, read, dropped) = self.rescan::<CONTRACT, W, K>(
+                o,
+                base + o as u64,
+                hot,
+                redirect,
+                policy,
+                iteration,
+                &weight,
+                &keeps,
+            );
+            ops += read;
+            if CONTRACT {
+                let nc = if b.3 == u32::MAX {
+                    b.3
                 } else {
-                    (c, weight(o, c as usize))
+                    self.seen[b.3 as usize]
                 };
-                self.col[w] = c2;
-                w += 1;
-                let (k0, k1) = tie_key(policy, iteration, chooser, hot[c2 as usize].id);
-                let k = (wk, k0, k1, c2);
-                if k < b {
-                    b = k;
+                choice[self.seen[o] as usize] = nc;
+            } else {
+                reclaimed += dropped;
+                choice[o] = b.3;
+                if self.row_head[o] != NO_ROW {
+                    self.owners[kept_owners] = o as u32;
+                    kept_owners += 1;
                 }
             }
-            let kept = w - s;
-            reclaimed += len - kept;
-            live += kept;
-            self.row_len[r] = kept as u32;
-            if kept > 0 {
-                self.rows[kept_rows] = r as u32;
-                kept_rows += 1;
-            }
-            best[o] = b;
         }
-        self.rows.truncate(kept_rows);
-        self.live = live;
-        // Next iteration's choices, for exactly the owners that have one.
-        for &o in &self.touched {
-            choice[o as usize] = best[o as usize].3;
+        if CONTRACT {
+            reclaimed = self.live - self.next_col.len();
+            self.live = self.next_col.len();
+        } else {
+            self.owners.truncate(kept_owners);
+            self.live -= reclaimed;
+            self.touched.clear();
+            self.touched.extend_from_slice(&self.owners);
         }
-        self.precomputed = true;
         self.precomputed_for = (policy, iteration);
         (ops, reclaimed)
     }
 
     /// The incremental end-of-step pass for deterministic tie policies
     /// ([`TieBreak::SmallestId`] / [`TieBreak::LargestId`]): instead of
-    /// rescanning every live slot, it rescans only the *dirty
+    /// rescanning every live owner, it rescans only the *dirty
     /// neighbourhood* of this iteration's merges.
     ///
     /// Validity: deterministic tie keys do not depend on the iteration, a
     /// region's statistics change only when it merges, and a slot's
-    /// endpoints change only when one of them merges. Hence a row whose
-    /// owner did not merge and whose slots name no merged region has an
+    /// endpoints change only when one of them merges. Hence an owner that
+    /// did not merge and whose slots name no merged region has an
     /// unchanged candidate list, unchanged weights, and unchanged ranking
-    /// — its `best`/`choice` from the previous iteration stay exact. The
-    /// dirty set is therefore `winners ∪ losers ∪ their neighbours`; the
+    /// — its `choice` from the previous iteration stays exact. The dirty
+    /// set is therefore `winners ∪ losers ∪ their neighbours`; the
     /// owner→rows lists enumerate it in O(dirty slots), and every dirty
-    /// owner's rows are redirected / filtered / deduped / squeezed and
-    /// re-ranked exactly as the full pass would.
+    /// owner is [`Csr::rescan`]ned exactly as the full sweep would.
     ///
     /// A new mutual pair must involve a vertex whose choice changed (two
     /// unchanged mutual choices would have merged an iteration earlier),
@@ -737,16 +827,16 @@ impl Csr {
     /// its candidate list keeps the apply step O(dirty) too. (Random
     /// tie-breaking re-randomises every ranking each iteration, which
     /// forces the full rescan — the same global work the reference
-    /// backend's choice pass does — so it stays on [`Csr::fused_pass`].)
+    /// backend's choice pass does — so it stays on [`Csr::sweep`].)
     ///
     /// The pass pays off only while the dirty set is a small share of the
     /// graph: it reads every seed row twice (marking walk, then rescan)
-    /// and follows the owner→rows lists in random order, where the full
-    /// sweep streams the live rows once. [`Merger::end_of_step`] therefore
-    /// runs it only when few regions merged (see [`INCREMENTAL_MAX_SHARE`]).
+    /// and visits owners in random order, where the full sweep streams
+    /// them in ascending order. [`Merger::end_of_step`] therefore runs it
+    /// only when few regions merged (see [`INCREMENTAL_MAX_SHARE`]).
     ///
-    /// Returns `(ops, reclaimed)` like [`Csr::fused_pass`]; `ops` counts
-    /// the slots read by the marking walk as well as by the rescan.
+    /// Returns `(ops, reclaimed)` like [`Csr::sweep`]; `ops` counts the
+    /// slots read by the marking walk as well as by the rescan.
     #[allow(clippy::too_many_arguments)]
     fn fast_pass<P: Intensity>(
         &mut self,
@@ -758,39 +848,11 @@ impl Csr {
         losers: &[u32],
         policy: TieBreak,
         iteration: u32,
-        best: &mut [CandKey],
         choice: &mut [u32],
     ) -> (u64, usize) {
-        match crit {
-            Criterion::PixelRange => {
-                let cut = u64::from(t) << 16;
-                self.fast_pass_impl(
-                    hot,
-                    redirect,
-                    losers,
-                    policy,
-                    iteration,
-                    best,
-                    choice,
-                    |o, c| {
-                        let (a, b) = (hot[o], hot[c]);
-                        range_weight_fp16(a.min.min(b.min), a.max.max(b.max))
-                    },
-                    |_, _, wk| wk <= cut,
-                )
-            }
-            Criterion::MeanDifference => self.fast_pass_impl(
-                hot,
-                redirect,
-                losers,
-                policy,
-                iteration,
-                best,
-                choice,
-                |o, c| mean_weight_fp16(stats.sum[o], stats.cnt[o], stats.sum[c], stats.cnt[c]),
-                |o, c, _| mean_satisfies(stats.sum[o], stats.cnt[o], stats.sum[c], stats.cnt[c], t),
-            ),
-        }
+        with_kernels!(stats, hot, crit, t, |weight, keeps| self.fast_pass_impl(
+            hot, redirect, losers, policy, iteration, choice, weight, keeps
+        ))
     }
 
     /// Criterion-monomorphised body of [`Csr::fast_pass`].
@@ -802,7 +864,6 @@ impl Csr {
         losers: &[u32],
         policy: TieBreak,
         iteration: u32,
-        best: &mut [CandKey],
         choice: &mut [u32],
         weight: W,
         keeps: K,
@@ -849,72 +910,29 @@ impl Csr {
             }
         }
         // Recompute the dirty owners from scratch; everyone else keeps
-        // last iteration's `best`/`choice` (still exact — see above).
-        for &d in &self.dirty {
-            best[d as usize] = KEY_SENTINEL;
-            choice[d as usize] = u32::MAX;
-        }
+        // last iteration's `choice` (still exact — see above).
         let base = self.next_token;
         self.next_token += self.stamp.len() as u64;
         let mut reclaimed = 0usize;
         for i in 0..self.dirty.len() {
             let d = self.dirty[i] as usize;
-            let token = base + d as u64;
-            let chooser = hot[d].id;
-            let mut b = KEY_SENTINEL;
-            let mut r = self.row_head[d];
-            let mut prev = NO_ROW;
-            while r != NO_ROW {
-                let ri = r as usize;
-                let next = self.row_next[ri];
-                let s = self.row_ptr[ri] as usize;
-                let len = self.row_len[ri] as usize;
-                self.row_owner[ri] = d as u32;
-                let mut w = s;
-                for j in s..s + len {
-                    ops += 1;
-                    let c2 = redirect[self.col[j] as usize] as usize;
-                    if c2 == d || self.stamp[c2] == token {
-                        continue;
-                    }
-                    let wk = weight(d, c2);
-                    if !keeps(d, c2, wk) {
-                        continue;
-                    }
-                    self.stamp[c2] = token;
-                    self.col[w] = c2 as u32;
-                    w += 1;
-                    let (k0, k1) = tie_key(policy, iteration, chooser, hot[c2].id);
-                    let k = (wk, k0, k1, c2 as u32);
-                    if k < b {
-                        b = k;
-                    }
-                }
-                let kept = w - s;
-                reclaimed += len - kept;
-                self.live -= len - kept;
-                self.row_len[ri] = kept as u32;
-                if kept == 0 {
-                    // Unlink the emptied row so no future walk revisits it.
-                    if prev == NO_ROW {
-                        self.row_head[d] = next;
-                    } else {
-                        self.row_next[prev as usize] = next;
-                    }
-                    if next == NO_ROW {
-                        self.row_tail[d] = prev;
-                    }
-                } else {
-                    prev = r;
-                }
-                r = next;
-            }
-            best[d] = b;
+            let (b, read, dropped) = self.rescan::<false, W, K>(
+                d,
+                base + d as u64,
+                hot,
+                redirect,
+                policy,
+                iteration,
+                &weight,
+                &keeps,
+            );
+            ops += read;
+            reclaimed += dropped;
             choice[d] = b.3; // `u32::MAX` when no candidate survived
         }
+        self.live -= reclaimed;
         // Hand the dirty list to the next apply step as its candidates.
         std::mem::swap(&mut self.touched, &mut self.dirty);
-        self.precomputed = true;
         self.precomputed_for = (policy, iteration);
         (ops, reclaimed)
     }
@@ -928,17 +946,29 @@ impl Csr {
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 enum BackendState {
-    /// Canonical sorted-unique edge list, rebuilt every iteration.
-    Reference { edges: Vec<(u32, u32)> },
-    /// Incremental CSR, squeezed in place by the fused end-of-step pass.
+    /// Canonical sorted-unique edge list, rebuilt every iteration, plus
+    /// the per-vertex best candidate key of the choice pass and the bucket
+    /// counters of the pixel-map build.
+    Reference {
+        edges: Vec<(u32, u32)>,
+        best: Vec<CandKey>,
+        buckets: Vec<u32>,
+    },
+    /// Incremental CSR, squeezed (and contracted) by the end-of-step pass.
     Csr(Csr),
 }
 
 /// The stepping merge engine over a RAG.
 ///
-/// Construct with [`Merger::new`], then either [`Merger::run`] to
-/// completion or [`Merger::step`] repeatedly (the paper's Figure 2
-/// walkthrough is validated this way).
+/// Construct with [`Merger::new`] (from an edge list) or
+/// [`Merger::from_split`] (straight from a split's pixel map), then either
+/// [`Merger::run`] to completion or [`Merger::step`] repeatedly (the
+/// paper's Figure 2 walkthrough is validated this way).
+///
+/// Vertex indices in the public API — [`Merger::labels_by_vertex`],
+/// [`MergeTrace`] events, [`Merger::stats_of`] — are always the original
+/// dense indices. Internally the CSR backend contracts its vertex space
+/// onto the live regions as the graph shrinks; `orig` maps back.
 #[derive(Debug)]
 pub struct Merger<P: Intensity> {
     threshold: u32,
@@ -947,30 +977,27 @@ pub struct Merger<P: Intensity> {
     max_stall: u32,
     parallel: bool,
 
-    /// Canonical region ID per dense vertex (order-isomorphic to the dense
-    /// index; used for tie-break hashing only).
-    ids: Vec<u64>,
     /// Region statistics in SoA layout, current at representative indices.
     stats: SoaStats<P>,
-    /// Packed (min, max, id) per vertex for the CSR kernels; the extrema
-    /// are folded alongside `stats` on every merge.
+    /// Packed (min, max, id) per vertex: the canonical tie-break ID every
+    /// backend hashes, and the extrema the CSR kernels rank by (folded
+    /// alongside `stats` on every merge).
     hot: Vec<HotVertex>,
+    /// Original dense index of each current vertex (ascending; the
+    /// identity until the first contraction).
+    orig: Vec<u32>,
     /// Backend adjacency state.
     backend: BackendState,
-    /// Full merge history (original vertex → representative).
+    /// Full merge history over the original vertices (original vertex →
+    /// representative).
     history: DisjointSets,
     /// One-iteration redirect table (identity outside merged losers).
     redirect: Vec<u32>,
     /// Losers of the current iteration, pending redirect reset.
     pending_losers: Vec<u32>,
 
-    /// Persistent scratch: per-representative best candidate key.
-    best: Vec<CandKey>,
     /// Persistent scratch: per-representative chosen neighbour.
     choice: Vec<u32>,
-    /// Persistent scratch: criterion-filtered edge list used to (re)build
-    /// the backend (kept so [`Merger::reset_from`] allocates nothing).
-    edges_scratch: Vec<(u32, u32)>,
 
     iterations: u32,
     merges_per_iteration: Vec<u32>,
@@ -1000,8 +1027,20 @@ impl<P: Intensity> Merger<P> {
         m
     }
 
+    /// Creates the engine over the squares of a split result, building the
+    /// adjacency straight from its pixel map (see
+    /// [`Merger::reset_from_split`]). Equivalent to
+    /// `Merger::new(Rag::from_split(split, ..), ids, ..)` with the
+    /// squares' canonical IDs.
+    pub fn from_split(split: &SplitResult<P>, config: &Config, parallel: bool) -> Self {
+        let mut m = Self::hollow(config);
+        m.reset_from_split(split, config, parallel);
+        m
+    }
+
     /// A merger with every buffer empty; must be initialised by
-    /// [`Merger::reset_from`] before stepping.
+    /// [`Merger::reset_from`] or [`Merger::reset_from_split`] before
+    /// stepping.
     pub(crate) fn hollow(config: &Config) -> Self {
         Self {
             threshold: config.threshold,
@@ -1009,19 +1048,18 @@ impl<P: Intensity> Merger<P> {
             tie: config.tie_break,
             max_stall: config.max_stall,
             parallel: false,
-            ids: Vec::new(),
             stats: SoaStats::empty(),
             hot: Vec::new(),
-            backend: match config.merge_backend {
-                MergeBackend::Csr => BackendState::Csr(Csr::empty()),
-                MergeBackend::Reference => BackendState::Reference { edges: Vec::new() },
+            orig: Vec::new(),
+            backend: BackendState::Reference {
+                edges: Vec::new(),
+                best: Vec::new(),
+                buckets: Vec::new(),
             },
             history: DisjointSets::new(0),
             redirect: Vec::new(),
             pending_losers: Vec::new(),
-            best: Vec::new(),
             choice: Vec::new(),
-            edges_scratch: Vec::new(),
             iterations: 0,
             merges_per_iteration: Vec::new(),
             num_regions: 0,
@@ -1051,68 +1089,115 @@ impl<P: Intensity> Merger<P> {
         parallel: bool,
     ) {
         assert_eq!(ids.len(), stats.len(), "ids length mismatch");
-        debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids must increase");
+        assert!(
+            2 * edges.len() < u32::MAX as usize,
+            "{} edges exceed the u32 CSR slot index",
+            edges.len()
+        );
+        self.init(stats, ids.iter().copied(), config, parallel);
+        match &mut self.backend {
+            BackendState::Reference { edges: own, .. } => {
+                own.clear();
+                own.extend_from_slice(edges);
+            }
+            BackendState::Csr(csr) => csr.fill(stats.len(), edges),
+        }
+        self.first_pass();
+    }
+
+    /// [`Merger::reset_from`] for the squares of a split result, with the
+    /// squares' canonical IDs, building the adjacency straight from the
+    /// split's pixel → square map:
+    ///
+    /// * CSR: two scans of [`for_each_boundary_pair`] count and scatter
+    ///   both directions of every boundary pair into the rows, then one
+    ///   row pass dedups and filters them and folds iteration 0's choices
+    ///   — no pair list, no sort;
+    /// * reference: the canonical edge list, bucketed by smaller label
+    ///   ([`crate::graph::adjacent_label_pairs_into`]).
+    ///
+    /// The resulting engine is indistinguishable from
+    /// `Merger::new(Rag::from_split(split, ..), ..)`: same merge history,
+    /// step reports and work counters.
+    pub fn reset_from_split(&mut self, split: &SplitResult<P>, config: &Config, parallel: bool) {
+        let (w, h) = (split.width, split.height);
+        let bound = pixel_pairs_bound(w, h, config.connectivity);
+        assert!(
+            2 * bound <= u32::MAX as usize,
+            "a {w}x{h} image needs up to {} adjacency slots, more than the u32 CSR index holds",
+            2 * bound
+        );
+        let stride = w as u32;
+        let ids = split.squares.iter().map(|s| s.id(stride) as u64);
+        self.init(&split.stats, ids, config, parallel);
+        match &mut self.backend {
+            BackendState::Reference { edges, buckets, .. } => {
+                bucket_label_pairs(&split.square_of, w, h, config.connectivity, buckets, edges);
+            }
+            BackendState::Csr(csr) => csr.fill(
+                split.stats.len(),
+                &PixelPairs {
+                    labels: &split.square_of,
+                    width: w,
+                    height: h,
+                    connectivity: config.connectivity,
+                },
+            ),
+        }
+        self.first_pass();
+    }
+
+    /// The backend-independent part of a reset: configuration, SoA/hot
+    /// vertex data (from `stats` and the canonical `ids`), history,
+    /// scratch and counters; switches the backend variant if needed.
+    fn init(
+        &mut self,
+        stats: &[RegionStats<P>],
+        ids: impl Iterator<Item = u64>,
+        config: &Config,
+        parallel: bool,
+    ) {
         let n = stats.len();
-        let t = config.threshold;
-        let crit = config.criterion;
-        self.threshold = t;
-        self.criterion = crit;
+        self.threshold = config.threshold;
+        self.criterion = config.criterion;
         self.tie = config.tie_break;
         self.max_stall = config.max_stall;
         self.parallel = parallel;
-        self.ids.clear();
-        self.ids.extend_from_slice(ids);
         self.stats.refill(stats);
-        {
-            // Criterion filter (the paper's step 2), written into the
-            // persistent scratch so backend (re)builds read a slice.
-            let Self {
-                stats,
-                edges_scratch,
-                ..
-            } = self;
-            edges_scratch.clear();
-            edges_scratch.extend(
-                edges
-                    .iter()
-                    .copied()
-                    .filter(|&(u, v)| stats.satisfies(crit, t, u as usize, v as usize)),
-            );
-        }
-        let initial_edges = self.edges_scratch.len();
-        {
-            let Self {
-                stats, ids, hot, ..
-            } = self;
-            hot.clear();
-            hot.extend((0..n).map(|i| HotVertex {
-                min: stats.min[i].to_u32(),
-                max: stats.max[i].to_u32(),
-                id: ids[i],
+        self.hot.clear();
+        self.hot
+            .extend(stats.iter().zip(ids).map(|(s, id)| HotVertex {
+                min: s.min.to_u32(),
+                max: s.max.to_u32(),
+                id,
             }));
-        }
-        match (&mut self.backend, config.merge_backend) {
-            (BackendState::Csr(csr), MergeBackend::Csr) => csr.rebuild(n, &self.edges_scratch),
-            (BackendState::Reference { edges }, MergeBackend::Reference) => {
-                edges.clear();
-                edges.extend_from_slice(&self.edges_scratch);
-            }
+        debug_assert!(
+            self.hot.windows(2).all(|w| w[0].id < w[1].id),
+            "ids must increase"
+        );
+        self.orig.clear();
+        self.orig.extend(0..n as u32);
+        match (&self.backend, config.merge_backend) {
+            (BackendState::Csr(_), MergeBackend::Csr)
+            | (BackendState::Reference { .. }, MergeBackend::Reference) => {}
             // Backend switch: a one-off reallocation is acceptable.
-            (slot, MergeBackend::Csr) => {
-                *slot = BackendState::Csr(Csr::new(n, &self.edges_scratch));
+            (_, MergeBackend::Csr) => self.backend = BackendState::Csr(Csr::empty()),
+            (_, MergeBackend::Reference) => {
+                self.backend = BackendState::Reference {
+                    edges: Vec::new(),
+                    best: Vec::new(),
+                    buckets: Vec::new(),
+                }
             }
-            (slot, MergeBackend::Reference) => {
-                *slot = BackendState::Reference {
-                    edges: self.edges_scratch.clone(),
-                };
-            }
+        }
+        if let BackendState::Reference { best, .. } = &mut self.backend {
+            best.clear();
+            best.resize(n, KEY_SENTINEL);
         }
         self.history.reset(n);
         self.redirect.clear();
         self.redirect.extend(0..n as u32);
         self.pending_losers.clear();
-        self.best.clear();
-        self.best.resize(n, KEY_SENTINEL);
         self.choice.clear();
         self.choice.resize(n, u32::MAX);
         self.iterations = 0;
@@ -1121,14 +1206,70 @@ impl<P: Intensity> Merger<P> {
         self.stalls = 0;
         self.trace = None;
         self.relabel_ops = 0;
-        self.peak_active_edges = initial_edges as u64;
         self.compactions = 0;
+    }
+
+    /// The build's last step, after the backend holds the raw adjacency:
+    /// de-activates the edges that do not satisfy the criterion (the
+    /// paper's step 2). The CSR backend does it in one [`Csr::sweep`]
+    /// over the raw rows (identity redirect), which also drops duplicate
+    /// slots and folds iteration 0's choices.
+    fn first_pass(&mut self) {
+        let crit = self.criterion;
+        let t = self.threshold;
+        let policy = self.next_policy();
+        let Self {
+            backend,
+            stats,
+            hot,
+            redirect,
+            choice,
+            ..
+        } = self;
+        match backend {
+            BackendState::Reference { edges, .. } => {
+                edges.retain(|&(u, v)| stats.satisfies(crit, t, u as usize, v as usize));
+            }
+            BackendState::Csr(csr) => {
+                csr.sweep(stats, hot, crit, t, redirect, false, policy, 0, choice);
+            }
+        }
+        self.peak_active_edges = self.active_edges() as u64;
+    }
+
+    /// The tie policy the next step's prologue will select: the stall
+    /// guard's smallest-ID fallback after `max_stall` empty random
+    /// iterations, the configured policy otherwise.
+    fn next_policy(&self) -> TieBreak {
+        if matches!(self.tie, TieBreak::Random { .. }) && self.stalls >= self.max_stall {
+            TieBreak::SmallestId
+        } else {
+            self.tie
+        }
+    }
+
+    /// Keeps the CSR layout of the build for the whole run: no sweep
+    /// contracts.
+    #[cfg(test)]
+    fn never_contract(&mut self) {
+        if let BackendState::Csr(csr) = &mut self.backend {
+            csr.contracts = false;
+        }
+    }
+
+    /// Vertex-space size after each contraction so far.
+    #[cfg(test)]
+    fn contraction_log(&self) -> Vec<usize> {
+        match &self.backend {
+            BackendState::Csr(csr) => csr.contraction_log.clone(),
+            BackendState::Reference { .. } => Vec::new(),
+        }
     }
 
     /// Starts recording a [`MergeTrace`] (call before the first step).
     pub fn enable_trace(&mut self) {
         if self.trace.is_none() {
-            self.trace = Some(MergeTrace::new(self.ids.len()));
+            self.trace = Some(MergeTrace::new(self.history.len()));
         }
     }
 
@@ -1140,17 +1281,17 @@ impl<P: Intensity> Merger<P> {
     /// `true` when no active edges remain.
     pub fn is_done(&self) -> bool {
         match &self.backend {
-            BackendState::Reference { edges } => edges.is_empty(),
+            BackendState::Reference { edges, .. } => edges.is_empty(),
             BackendState::Csr(csr) => csr.live == 0,
         }
     }
 
     /// Active undirected edge count (for the CSR backend: half the live
-    /// directed slot count; the fused pass dedups per owner every
-    /// productive iteration, mirroring the reference backend's rebuild).
+    /// directed slot count; every pass dedups each owner it rescans,
+    /// mirroring the reference backend's rebuild).
     pub fn active_edges(&self) -> usize {
         match &self.backend {
-            BackendState::Reference { edges } => edges.len(),
+            BackendState::Reference { edges, .. } => edges.len(),
             BackendState::Csr(csr) => csr.live / 2,
         }
     }
@@ -1182,8 +1323,8 @@ impl<P: Intensity> Merger<P> {
     }
 
     /// CSR passes that reclaimed dead slots (0 under the reference
-    /// backend). With the fused squeeze this counts the productive
-    /// iterations whose slot array actually shrank.
+    /// backend): the productive iterations whose slot array actually
+    /// shrank.
     pub fn compactions(&self) -> u64 {
         self.compactions
     }
@@ -1203,9 +1344,13 @@ impl<P: Intensity> Merger<P> {
         &self.merges_per_iteration
     }
 
-    /// Statistics of the region represented by dense vertex `rep`.
-    pub fn stats_of(&self, rep: u32) -> RegionStats<P> {
-        self.stats.get(rep as usize)
+    /// Statistics of the region represented by original dense vertex
+    /// `rep`, or `None` once `rep` has left the merger's vertex space: the
+    /// CSR backend retires a region when a contraction finds it without an
+    /// active edge. Meaningful only while `rep` is a representative.
+    pub fn stats_of(&self, rep: u32) -> Option<RegionStats<P>> {
+        let v = self.orig.binary_search(&rep).ok()?;
+        Some(self.stats.get(v))
     }
 
     /// Representative (dense index) of each original vertex, resolved with
@@ -1251,13 +1396,8 @@ impl<P: Intensity> Merger<P> {
                 compacted: false,
             };
         }
-        let used_fallback =
-            matches!(self.tie, TieBreak::Random { .. }) && self.stalls >= self.max_stall;
-        let policy = if used_fallback {
-            TieBreak::SmallestId
-        } else {
-            self.tie
-        };
+        let policy = self.next_policy();
+        let used_fallback = policy != self.tie;
 
         {
             let _span = SpanGuard::enter(&mut *tel, SpanKind::Choice);
@@ -1318,101 +1458,69 @@ impl<P: Intensity> Merger<P> {
     /// Fills `self.choice`: for every vertex incident to an active edge,
     /// its chosen neighbour (`u32::MAX` = no choice). The choice minimises
     /// the [`CandKey`] `(weight, tie_key, neighbour)`.
+    ///
+    /// The CSR backend has nothing to do here: its build and every
+    /// end-of-step pass already folded this iteration's minima into
+    /// `choice`.
     fn compute_choices(&mut self, policy: TieBreak) {
         let iteration = self.iterations;
         let crit = self.criterion;
         let Self {
             parallel,
-            ids,
+            hot,
             stats,
             backend,
-            best,
             choice,
             ..
         } = self;
-        match backend {
-            BackendState::Reference { edges } => {
-                let cand = |chooser: u32, nb: u32| -> CandKey {
-                    let w = stats.weight(crit, chooser as usize, nb as usize);
-                    let (k0, k1) =
-                        tie_key(policy, iteration, ids[chooser as usize], ids[nb as usize]);
-                    (w, k0, k1, nb)
-                };
-                if *parallel && edges.len() >= PAR_EDGES {
-                    // CM-style: build the directed candidate list, sort by
-                    // (vertex, rank), take the head of each segment.
-                    choice.fill(u32::MAX);
-                    let mut directed: Vec<(u32, CandKey)> = edges
-                        .par_iter()
-                        .flat_map_iter(|&(u, v)| [(u, cand(u, v)), (v, cand(v, u))].into_iter())
-                        .collect();
-                    directed.par_sort_unstable();
-                    let mut prev = u32::MAX;
-                    for (vtx, key) in directed {
-                        if vtx != prev {
-                            choice[vtx as usize] = key.3;
-                            prev = vtx;
-                        }
-                    }
-                    return;
-                }
-                best.fill(KEY_SENTINEL);
-                for &(u, v) in edges.iter() {
-                    let ku = cand(u, v);
-                    if ku < best[u as usize] {
-                        best[u as usize] = ku;
-                    }
-                    let kv = cand(v, u);
-                    if kv < best[v as usize] {
-                        best[v as usize] = kv;
-                    }
+        let (edges, best) = match backend {
+            BackendState::Reference { edges, best, .. } => (edges, best),
+            BackendState::Csr(csr) => {
+                debug_assert_eq!(
+                    csr.precomputed_for,
+                    (policy, iteration),
+                    "stale precomputed choice minima"
+                );
+                return;
+            }
+        };
+        let cand = |chooser: u32, nb: u32| -> CandKey {
+            let w = stats.weight(crit, chooser as usize, nb as usize);
+            let (k0, k1) = tie_key(
+                policy,
+                iteration,
+                hot[chooser as usize].id,
+                hot[nb as usize].id,
+            );
+            (w, k0, k1, nb)
+        };
+        if *parallel && edges.len() >= PAR_EDGES {
+            // CM-style: build the directed candidate list, sort by
+            // (vertex, rank), take the head of each segment.
+            choice.fill(u32::MAX);
+            let mut directed: Vec<(u32, CandKey)> = edges
+                .par_iter()
+                .flat_map_iter(|&(u, v)| [(u, cand(u, v)), (v, cand(v, u))].into_iter())
+                .collect();
+            directed.par_sort_unstable();
+            let mut prev = u32::MAX;
+            for (vtx, key) in directed {
+                if vtx != prev {
+                    choice[vtx as usize] = key.3;
+                    prev = vtx;
                 }
             }
-            BackendState::Csr(csr) => {
-                if csr.precomputed {
-                    // `best` *and* `choice` were produced by the previous
-                    // step's fused pass under exactly this (policy,
-                    // iteration): the steady-state choice pass is a no-op.
-                    debug_assert_eq!(
-                        csr.precomputed_for,
-                        (policy, iteration),
-                        "stale precomputed choice minima"
-                    );
-                    return;
-                } else if *parallel && csr.live >= 2 * PAR_EDGES {
-                    best.fill(KEY_SENTINEL);
-                    csr.row_minima_par(stats, crit, ids, policy, iteration);
-                    for (r, &k) in csr.row_best.iter().enumerate() {
-                        if k == KEY_SENTINEL {
-                            continue;
-                        }
-                        let o = csr.row_owner[r] as usize;
-                        if k < best[o] {
-                            best[o] = k;
-                        }
-                    }
-                } else {
-                    // Segmented-min sweep: one pass over the slot array,
-                    // folding each row's candidates into its owner's best.
-                    best.fill(KEY_SENTINEL);
-                    for &r in &csr.rows {
-                        let r = r as usize;
-                        let s = csr.row_ptr[r] as usize;
-                        let e = s + csr.row_len[r] as usize;
-                        let o = csr.row_owner[r] as usize;
-                        let chooser = ids[o];
-                        let mut b = best[o];
-                        for &c in &csr.col[s..e] {
-                            let w = stats.weight(crit, o, c as usize);
-                            let (k0, k1) = tie_key(policy, iteration, chooser, ids[c as usize]);
-                            let k = (w, k0, k1, c);
-                            if k < b {
-                                b = k;
-                            }
-                        }
-                        best[o] = b;
-                    }
-                }
+            return;
+        }
+        best.fill(KEY_SENTINEL);
+        for &(u, v) in edges.iter() {
+            let ku = cand(u, v);
+            if ku < best[u as usize] {
+                best[u as usize] = ku;
+            }
+            let kv = cand(v, u);
+            if kv < best[v as usize] {
+                best[v as usize] = kv;
             }
         }
         for (c, b) in choice.iter_mut().zip(best.iter()) {
@@ -1422,17 +1530,17 @@ impl<P: Intensity> Merger<P> {
 
     /// Merges every mutual pair; returns the number of merges.
     ///
-    /// In the CSR steady state only the end-of-step pass's `touched`
-    /// owners can have a new choice (after a full sweep they are every
+    /// Under the CSR backend only the last pass's `touched` owners can
+    /// have a new choice (after the build or a full sweep they are every
     /// owner that has one at all), so the scan visits exactly those
     /// vertices — no O(vertices) sweep. The full scan remains for the
-    /// reference backend, the first iteration, and when tracing (trace
-    /// events are emitted in ascending-winner order, which the `touched`
-    /// list does not guarantee; the merges themselves are a matching, so
-    /// application order is otherwise irrelevant).
+    /// reference backend and when tracing (trace events are emitted in
+    /// ascending-winner order, which the `touched` list does not
+    /// guarantee; the merges themselves are a matching, so application
+    /// order is otherwise irrelevant).
     fn apply_mutual_merges(&mut self, choice: &mut [u32]) -> u32 {
         let touched = match &mut self.backend {
-            BackendState::Csr(csr) if csr.precomputed && self.trace.is_none() => {
+            BackendState::Csr(csr) if self.trace.is_none() => {
                 Some(std::mem::take(&mut csr.touched))
             }
             _ => None,
@@ -1473,11 +1581,13 @@ impl<P: Intensity> Merger<P> {
             return false;
         }
         let (u, v) = (x.min(y), x.max(y));
+        // `orig` ascends, so the current order is the original order.
+        let (ou, ov) = (self.orig[u as usize], self.orig[v as usize]);
         if let Some(trace) = &mut self.trace {
             trace.events.push(MergeEvent {
                 iteration: self.iterations,
-                winner: u,
-                loser: v,
+                winner: ou,
+                loser: ov,
                 weight_fp16: self.stats.weight(self.criterion, u as usize, v as usize),
             });
         }
@@ -1489,7 +1599,7 @@ impl<P: Intensity> Merger<P> {
         hw.max = hw.max.max(l.max);
         self.redirect[v as usize] = u;
         self.pending_losers.push(v);
-        self.history.union_min_rep(u, v);
+        self.history.union_min_rep(ou, ov);
         self.num_regions -= 1;
         choice[u as usize] = u32::MAX;
         true
@@ -1502,35 +1612,41 @@ impl<P: Intensity> Merger<P> {
     /// skipped on stall iterations (`merges == 0`), which change no
     /// statistic and no representative, so every edge survives unchanged.
     ///
-    /// CSR: one pass that performs the same relabel / filter / squeeze
-    /// *and* folds the next iteration's choice minima into `best` under
-    /// the policy the next step's prologue will select (the stall counter
-    /// is already updated and `self.iterations` is the next step's index).
-    /// The pass is chosen per iteration: the incremental [`Csr::fast_pass`]
-    /// when the tie policy is deterministic and few regions merged
-    /// (`INCREMENTAL_MAX_SHARE · losers < live slots`), the full sequential
-    /// [`Csr::fused_pass`] otherwise. Both leave identical slots, rows,
-    /// `best` and `choice` for every live owner, so the choice changes only
-    /// the cost. On stall iterations the full pass runs in choice-only
-    /// mode: the re-randomised tie keys still demand a rescan, but no
-    /// filtering work is counted — the reference backend does that same
-    /// rescan inside its own choice pass.
+    /// CSR: splices each loser's row list onto its winner's, then one pass
+    /// that performs the same relabel / filter / squeeze *and* folds the
+    /// next iteration's choices under the policy the next step's prologue
+    /// will select (the stall counter is already updated and
+    /// `self.iterations` is the next step's index). The pass is chosen per
+    /// iteration: the incremental [`Csr::fast_pass`] when the tie policy
+    /// is deterministic and few regions merged (`INCREMENTAL_MAX_SHARE ·
+    /// losers < live slots`), the full [`Csr::sweep`] otherwise. Both
+    /// leave identical slots and `choice` for every live owner, so the
+    /// choice changes only the cost. On stall iterations the full sweep
+    /// runs as a pure rescan: the re-randomised tie keys still demand it,
+    /// but no relabel work is counted — the reference backend does that
+    /// same rescan inside its own choice pass.
+    ///
+    /// Every productive full sweep also contracts the vertex space onto
+    /// the live owners: the sweep writes each owner's survivors into one
+    /// fresh contiguous row, and this step gathers the per-vertex arrays
+    /// onto the kept owners (order-preserving, so the merge history is
+    /// unchanged). A contraction costs O(owners + live slots), the order
+    /// of the sweep it rides on, so it never adds an O(vertices) term.
     ///
     /// Returns `true` if the CSR backend reclaimed dead slots.
     fn end_of_step(&mut self, merges: u32) -> bool {
         let crit = self.criterion;
         let t = self.threshold;
+        let next_policy = self.next_policy();
         let mut compacted = false;
         let Self {
             backend,
             stats,
             hot,
+            orig,
             redirect,
-            best,
             choice,
             tie,
-            max_stall,
-            stalls,
             iterations,
             parallel,
             pending_losers,
@@ -1539,7 +1655,7 @@ impl<P: Intensity> Merger<P> {
             ..
         } = self;
         match backend {
-            BackendState::Reference { edges } => {
+            BackendState::Reference { edges, .. } => {
                 if merges > 0 {
                     let stats = &*stats;
                     let redirect = &*redirect;
@@ -1580,32 +1696,27 @@ impl<P: Intensity> Merger<P> {
                 }
             }
             BackendState::Csr(csr) => {
-                let next_fallback =
-                    matches!(*tie, TieBreak::Random { .. }) && *stalls >= *max_stall;
-                let next_policy = if next_fallback {
-                    TieBreak::SmallestId
-                } else {
-                    *tie
-                };
+                for &v in pending_losers.iter() {
+                    csr.splice(redirect[v as usize] as usize, v as usize);
+                }
                 // Deterministic policies have iteration-independent tie
                 // keys, so only the merged pairs' neighbourhoods can change
-                // their choice: splice each loser's rows onto its winner
-                // (kept up every iteration, whichever pass runs) and, when
-                // those neighbourhoods are a small share of the graph, run
-                // the incremental pass over the dirty set. Random
-                // re-randomises every key each iteration — the full sweep
-                // is mandatory (the reference backend pays the same sweep
-                // inside its choice pass).
+                // their choice: when those neighbourhoods are a small share
+                // of the graph, run the incremental pass over the dirty
+                // set. Random re-randomises every key each iteration — the
+                // full sweep is mandatory (the reference backend pays the
+                // same sweep inside its choice pass).
                 let deterministic = !matches!(*tie, TieBreak::Random { .. });
-                if deterministic {
-                    for &v in pending_losers.iter() {
-                        csr.splice(redirect[v as usize] as usize, v as usize);
-                    }
-                }
                 let incremental =
                     deterministic && INCREMENTAL_MAX_SHARE * pending_losers.len() < csr.live;
+                let contract = !incremental && merges > 0;
+                #[cfg(test)]
+                let contract = contract && csr.contracts;
                 #[cfg(test)]
                 csr.incremental_log.push(incremental);
+                if contract {
+                    csr.plan_contraction();
+                }
                 let (ops, reclaimed) = if incremental {
                     csr.fast_pass(
                         stats,
@@ -1616,20 +1727,18 @@ impl<P: Intensity> Merger<P> {
                         pending_losers,
                         next_policy,
                         *iterations,
-                        best,
                         choice,
                     )
                 } else {
-                    csr.fused_pass(
+                    csr.sweep(
                         stats,
                         hot,
                         crit,
                         t,
                         redirect,
-                        merges > 0,
+                        contract,
                         next_policy,
                         *iterations,
-                        best,
                         choice,
                     )
                 };
@@ -1640,6 +1749,21 @@ impl<P: Intensity> Merger<P> {
                         compacted = true;
                     }
                 }
+                if contract {
+                    // The sweep wrote `choice` in the new numbering.
+                    let kept = &csr.kept;
+                    gather(hot, kept);
+                    gather(orig, kept);
+                    gather(&mut stats.min, kept);
+                    gather(&mut stats.max, kept);
+                    gather(&mut stats.sum, kept);
+                    gather(&mut stats.cnt, kept);
+                    choice.truncate(kept.len());
+                    redirect.clear();
+                    redirect.extend(0..kept.len() as u32);
+                    pending_losers.clear();
+                    csr.finish_contraction();
+                }
             }
         }
         // Reset redirects for the merged losers.
@@ -1648,6 +1772,16 @@ impl<P: Intensity> Merger<P> {
         }
         compacted
     }
+}
+
+/// Keeps `v[kept[k]]` at index `k` and drops the rest, in place: `kept`
+/// ascends, so `kept[k] >= k` and each source is read before any write
+/// reaches it.
+fn gather<T: Copy>(v: &mut Vec<T>, kept: &[u32]) {
+    for (k, &o) in kept.iter().enumerate() {
+        v[k] = v[o as usize];
+    }
+    v.truncate(kept.len());
 }
 
 #[cfg(test)]
@@ -1697,10 +1831,10 @@ mod tests {
         let labels = m.labels_by_vertex();
         assert_eq!(labels, vec![0, 1, 1, 0, 1, 0, 0]);
         // Final stats: region 0 = {6..8} ∪ {5} ∪ {7,8} ∪ {5,6}, range 3.
-        assert_eq!(m.stats_of(0).min, 5);
-        assert_eq!(m.stats_of(0).max, 8);
-        assert_eq!(m.stats_of(1).min, 1);
-        assert_eq!(m.stats_of(1).max, 4);
+        assert_eq!(m.stats_of(0).unwrap().min, 5);
+        assert_eq!(m.stats_of(0).unwrap().max, 8);
+        assert_eq!(m.stats_of(1).unwrap().min, 1);
+        assert_eq!(m.stats_of(1).unwrap().max, 4);
     }
 
     #[test]
@@ -1850,6 +1984,133 @@ mod tests {
             // Traced, the full merge history matches event by event.
             let (_, trace, _, _) = run(MergeBackend::Csr, true);
             assert_eq!(trace, ref_trace, "{tie:?}");
+        }
+    }
+
+    /// Everything a merge run exposes, step by step: per-iteration
+    /// `(merges, active_edges, compacted)`, final labels, trace events and
+    /// the work counters `(relabel_work, peak_active_edges, compactions)`.
+    type Observed = (
+        Vec<(u32, u64, bool)>,
+        Vec<u32>,
+        Option<MergeTrace>,
+        (u64, u64, u64),
+    );
+
+    fn observe(mut m: Merger<u8>, trace: bool) -> (Observed, Vec<usize>) {
+        if trace {
+            m.enable_trace();
+        }
+        let mut steps = Vec::new();
+        while !m.is_done() {
+            let r = m.step();
+            steps.push((r.merges, r.active_edges, r.compacted));
+        }
+        let counters = (m.relabel_work(), m.peak_active_edges(), m.compactions());
+        let log = m.contraction_log();
+        ((steps, m.labels_by_vertex(), m.take_trace(), counters), log)
+    }
+
+    /// The direct pixel-map build and the contraction change no
+    /// observable of a run: step reports, labels, trace events and work
+    /// counters all equal those of `Merger::new(Rag::from_split(..))` on
+    /// the uncontracted layout, across connectivity × criterion × tie
+    /// policy, traced and untraced.
+    #[test]
+    fn direct_build_and_contraction_match_merger_new() {
+        let scenes = [
+            (synth::uniform_noise(48, 40, 120, 135, 3), 10),
+            (synth::random_rects(64, 48, 12, 5), 12),
+            (synth::circle_collection(48), 12),
+        ];
+        for (img, t) in &scenes {
+            for conn in [Connectivity::Four, Connectivity::Eight] {
+                for crit in [Criterion::PixelRange, Criterion::MeanDifference] {
+                    for tie in [
+                        TieBreak::SmallestId,
+                        TieBreak::LargestId,
+                        TieBreak::Random { seed: 11 },
+                    ] {
+                        let cfg = Config::with_threshold(*t)
+                            .tie_break(tie)
+                            .connectivity(conn)
+                            .criterion(crit);
+                        let s = split(img, &cfg);
+                        let ids: Vec<u64> = s
+                            .squares
+                            .iter()
+                            .map(|q| q.id(s.width as u32) as u64)
+                            .collect();
+                        let what = format!("{conn:?} {crit:?} {tie:?} t={t}");
+                        for trace in [false, true] {
+                            let new =
+                                || Merger::new(Rag::from_split(&s, conn), ids.clone(), &cfg, false);
+                            let mut flat = new();
+                            flat.never_contract();
+                            let (want, _) = observe(flat, trace);
+                            let mut direct = Merger::from_split(&s, &cfg, false);
+                            direct.never_contract();
+                            let (got, _) = observe(direct, trace);
+                            assert_eq!(got, want, "direct build: {what} trace={trace}");
+                            let (got, log) = observe(Merger::from_split(&s, &cfg, false), trace);
+                            assert_eq!(got, want, "contraction: {what} trace={trace}");
+                            assert_eq!(observe(new(), trace).0, want, "{what}");
+                            if want.0.len() > 2 {
+                                assert!(log.len() > 1, "{what}: contracted {log:?}");
+                                assert!(log.windows(2).all(|w| w[1] < w[0]), "{log:?}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(48))]
+
+        /// Random scenes and settings: the contracting direct build
+        /// reproduces the uncontracted `Merger::new` exactly, and its
+        /// merges, labels and merge trace equal the reference backend's.
+        #[test]
+        fn contracting_direct_build_is_invisible(
+            w in 4usize..40,
+            h in 4usize..40,
+            noise in proptest::prelude::any::<bool>(),
+            spread in 0u8..40,
+            img_seed in 0u64..1_000,
+            threshold in 0u32..40,
+            eight in proptest::prelude::any::<bool>(),
+            mean in proptest::prelude::any::<bool>(),
+            policy in 0usize..3,
+            seed in 0u64..1_000,
+        ) {
+            let img = if noise {
+                synth::uniform_noise(w, h, 100, 100 + spread, img_seed)
+            } else {
+                synth::random_rects(w, h, 6, img_seed)
+            };
+            let tie = [TieBreak::SmallestId, TieBreak::LargestId, TieBreak::Random { seed }][policy];
+            let conn = if eight { Connectivity::Eight } else { Connectivity::Four };
+            let crit = if mean { Criterion::MeanDifference } else { Criterion::PixelRange };
+            let cfg = Config::with_threshold(threshold)
+                .tie_break(tie)
+                .connectivity(conn)
+                .criterion(crit);
+            let s = split(&img, &cfg);
+            let ids: Vec<u64> = s.squares.iter().map(|q| q.id(w as u32) as u64).collect();
+            let mut flat = Merger::new(Rag::from_split(&s, conn), ids, &cfg, false);
+            flat.never_contract();
+            let (want, _) = observe(flat, true);
+            let (got, _) = observe(Merger::from_split(&s, &cfg, false), true);
+            proptest::prop_assert_eq!(&got, &want);
+            let reference = cfg.merge_backend(MergeBackend::Reference);
+            let (r, _) = observe(Merger::from_split(&s, &reference, false), true);
+            proptest::prop_assert_eq!((&got.1, &got.2), (&r.1, &r.2));
+            // Every pass dedups each owner exactly, so the CSR's active
+            // edge count is the reference backend's deduplicated one.
+            let steps = |o: &Observed| o.0.iter().map(|x| (x.0, x.1)).collect::<Vec<_>>();
+            proptest::prop_assert_eq!(steps(&got), steps(&r));
         }
     }
 

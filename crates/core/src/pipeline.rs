@@ -31,7 +31,7 @@ use crate::driver::{
     SplitStage, StageStats, TraceHook,
 };
 use crate::engine::Segmentation;
-use crate::graph::adjacent_label_pairs_into;
+use crate::graph::pixel_pairs_bound;
 use crate::hierarchy::MergeTrace;
 use crate::merge::Merger;
 use crate::split::{split_into, SplitResult, SplitScratch};
@@ -63,16 +63,6 @@ impl ExecutionPlan {
             .map(|m| m as usize)
             .unwrap_or(top_possible)
             .min(top_possible);
-        let diag = if width > 0 && height > 0 {
-            2 * (width - 1) * (height - 1)
-        } else {
-            0
-        };
-        let four = width * height.saturating_sub(1) + width.saturating_sub(1) * height;
-        let edge_pairs_bound = match config.connectivity {
-            crate::config::Connectivity::Four => four,
-            crate::config::Connectivity::Eight => four + diag,
-        };
         Self {
             width,
             height,
@@ -80,8 +70,27 @@ impl ExecutionPlan {
             side,
             levels: cap + 1,
             max_vertices: width * height,
-            edge_pairs_bound,
+            edge_pairs_bound: pixel_pairs_bound(width, height, config.connectivity),
         }
+    }
+
+    /// Checks that the merge engine can index this shape. Its CSR build
+    /// sizes the adjacency by raw boundary-pair slots, up to
+    /// `2 · edge_pairs_bound`, and addresses slots and vertices with
+    /// `u32`; under 4-connectivity that caps images at about 1.07 Gpx.
+    /// Pure arithmetic: nothing is allocated.
+    pub fn check_index_range(&self) -> Result<(), String> {
+        let slots = 2 * self.edge_pairs_bound as u128;
+        if slots > u128::from(u32::MAX) || self.max_vertices as u128 >= u128::from(u32::MAX) {
+            return Err(format!(
+                "a {}x{} image needs up to {slots} adjacency slots, more than the merge \
+                 engine's u32 indices hold ({})",
+                self.width,
+                self.height,
+                u32::MAX
+            ));
+        }
+        Ok(())
     }
 
     /// `true` iff this plan is valid for `width`×`height` under `config`.
@@ -147,12 +156,8 @@ pub struct Workspace<P: Intensity> {
     /// The current split result (squares / stats / square-of map), refilled
     /// in place by `split_into`.
     split: SplitResult<P>,
-    /// Canonical RAG edge list, refilled by `adjacent_label_pairs_into`.
-    edges: Vec<(u32, u32)>,
-    /// Canonical region IDs, parallel to the split squares.
-    ids: Vec<u64>,
-    /// The merge engine with all its CSR/DSU/stamp-token state; reused via
-    /// [`Merger::reset_from`].
+    /// The merge engine with all its CSR/DSU/stamp-token state; rebuilt in
+    /// place from the split by [`Merger::reset_from_split`].
     merger: Option<Merger<P>>,
     /// Original vertex → representative, batch-resolved after the merge.
     by_vertex: Vec<u32>,
@@ -171,8 +176,6 @@ impl<P: Intensity> Workspace<P> {
         Self {
             split_scratch: SplitScratch::new(),
             split: SplitResult::default(),
-            edges: Vec::new(),
-            ids: Vec::new(),
             merger: None,
             by_vertex: Vec::new(),
             map_val: Vec::new(),
@@ -190,8 +193,6 @@ impl<P: Intensity> Workspace<P> {
         self.split.square_of.clear();
         self.split.iterations = 0;
         self.split.metrics = crate::split::SplitMetrics::default();
-        self.edges.clear();
-        self.ids.clear();
         self.by_vertex.clear();
         // Keep the merger (its buffers are the most expensive to warm) and
         // the stamped compaction tables: epochs make stale entries inert.
@@ -209,6 +210,12 @@ impl<P: Intensity> Workspace<P> {
                 .reserve(px - self.split.square_of.len());
         }
         self.split_scratch.prepare(plan.width(), plan.height());
+    }
+
+    /// The merge engine of the last run (`None` before the first), for
+    /// its work counters.
+    pub fn merger(&self) -> Option<&Merger<P>> {
+        self.merger.as_ref()
     }
 }
 
@@ -291,6 +298,11 @@ impl<P: Intensity> HostPipeline<P> {
 
     /// Segment `img` into the recyclable `out` buffer (see
     /// [`Pipeline::run_into`]); generic over the intensity type.
+    ///
+    /// # Panics
+    ///
+    /// On a shape the merge engine cannot index
+    /// ([`ExecutionPlan::check_index_range`]), before allocating for it.
     pub fn run_image_into(
         &mut self,
         img: &Image<P>,
@@ -304,6 +316,9 @@ impl<P: Intensity> HostPipeline<P> {
         };
         if stale {
             let plan = ExecutionPlan::for_shape(w, h, &self.config);
+            if let Err(e) = plan.check_index_range() {
+                panic!("{e}");
+            }
             self.ws.prepare(&plan);
             self.plan = Some(plan);
         }
@@ -418,44 +433,14 @@ impl<P: Intensity> SplitStage for HostBackend<'_, P> {
 }
 
 impl<P: Intensity> GraphStage for HostBackend<'_, P> {
+    /// Builds the merge engine's adjacency straight from the split's
+    /// pixel map, including iteration 0's choices.
     fn graph(&mut self, _tel: &mut dyn Telemetry) -> StageStats {
         let ws = &mut *self.ws;
-        adjacent_label_pairs_into(
-            &ws.split.square_of,
-            self.img.width(),
-            self.img.height(),
-            self.config.connectivity,
-            &mut ws.edges,
-        );
-        let stride = ws.split.width as u32;
-        ws.ids.clear();
-        ws.ids
-            .extend(ws.split.squares.iter().map(|s| s.id(stride) as u64));
-        let merger = match &mut ws.merger {
-            Some(m) => {
-                m.reset_from(
-                    &ws.split.stats,
-                    &ws.edges,
-                    &ws.ids,
-                    self.config,
-                    self.parallel,
-                );
-                m
-            }
-            slot @ None => {
-                let mut m = Merger::hollow(self.config);
-                m.reset_from(
-                    &ws.split.stats,
-                    &ws.edges,
-                    &ws.ids,
-                    self.config,
-                    self.parallel,
-                );
-                slot.insert(m)
-            }
-        };
+        let merger = ws.merger.get_or_insert_with(|| Merger::hollow(self.config));
+        merger.reset_from_split(&ws.split, self.config, self.parallel);
         if self.trace {
-            // `reset_from` drops any previous trace, so arm it here —
+            // `reset_from_split` drops any previous trace, so arm it here —
             // after the merger has its vertices for this image.
             merger.enable_trace();
         }
@@ -628,6 +613,35 @@ mod tests {
         let pd = ExecutionPlan::for_shape(0, 0, &cfg);
         assert_eq!(pd.max_vertices(), 0);
         assert_eq!(pd.edge_pairs_bound(), 0);
+    }
+
+    #[test]
+    fn index_range_check_rejects_oversized_shapes_without_allocating() {
+        let cfg = Config::with_threshold(10);
+        assert_eq!(
+            ExecutionPlan::for_shape(2048, 2048, &cfg).check_index_range(),
+            Ok(())
+        );
+        // 1.6 Gpx: 4 · 1.6e9 raw slots overflow u32 (checked, not built).
+        let big = ExecutionPlan::for_shape(40000, 40000, &cfg);
+        let err = big.check_index_range().unwrap_err();
+        assert!(err.contains("40000x40000"), "{err}");
+        assert!(
+            err.contains(&(2 * big.edge_pairs_bound()).to_string()),
+            "{err}"
+        );
+        // The limit sits near 1.07 Gpx under 4-connectivity and lower
+        // under 8-connectivity.
+        assert!(ExecutionPlan::for_shape(32000, 32000, &cfg)
+            .check_index_range()
+            .is_ok());
+        assert!(ExecutionPlan::for_shape(33000, 33000, &cfg)
+            .check_index_range()
+            .is_err());
+        let eight = cfg.connectivity(crate::config::Connectivity::Eight);
+        assert!(ExecutionPlan::for_shape(32000, 32000, &eight)
+            .check_index_range()
+            .is_err());
     }
 
     #[test]

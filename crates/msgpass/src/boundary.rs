@@ -160,7 +160,7 @@ pub fn build_local_rag<P: Intensity>(
 
     // --- step 2: internal edges ------------------------------------------
     let mut half_edges: Vec<(u32, u32)> = Vec::new();
-    for (a, b) in adjacent_label_pairs(&s.square_of, tile.w, tile.h, config.connectivity, false) {
+    for (a, b) in adjacent_label_pairs(&s.square_of, tile.w, tile.h, config.connectivity) {
         let (ga, gb) = (gid_of_square[a as usize], gid_of_square[b as usize]);
         half_edges.push((ga, gb));
         half_edges.push((gb, ga));

@@ -64,8 +64,9 @@ use cmmd_sim::{CommScheme, FaultPlan};
 use rg_core::{
     analyze_journal, chrome_trace, jsonl_sink, labels::labels_to_image, run_batch,
     segment_par_with_telemetry, segment_with_telemetry, verify_segmentation, BatchOptions,
-    ClockMode, Config, Connectivity, Criterion, EmitEvent, EventLog, Fanout, HostPipeline,
-    NullTelemetry, Pipeline, Recorder, Segmentation, Telemetry, TieBreak, TileGrid, TiledRunner,
+    ClockMode, Config, Connectivity, Criterion, EmitEvent, EventLog, ExecutionPlan, Fanout,
+    HostPipeline, NullTelemetry, Pipeline, Recorder, Segmentation, Telemetry, TieBreak, TileGrid,
+    TiledRunner,
 };
 use rg_imaging::{pgm, synth, GrayImage};
 use std::process::exit;
@@ -270,7 +271,16 @@ fn parse_args() -> Options {
     o
 }
 
-fn load_image(o: &Options) -> GrayImage {
+/// Exits 2 when the merge engine cannot index a `width`×`height` image
+/// (see [`ExecutionPlan::check_index_range`]).
+fn check_shape(width: usize, height: usize, cfg: &Config) {
+    if let Err(e) = ExecutionPlan::for_shape(width, height, cfg).check_index_range() {
+        eprintln!("{e}");
+        exit(2);
+    }
+}
+
+fn load_image(o: &Options, cfg: &Config) -> GrayImage {
     if let Some(demo) = &o.demo {
         // Scalable scenes take a `:SIZE` suffix (e.g. `nested:1024`); the
         // paper's fixed images do not.
@@ -284,6 +294,8 @@ fn load_image(o: &Options) -> GrayImage {
                         eprintln!("bad demo size in {demo:?}: expected a positive pixel count");
                         usage()
                     });
+                // Scalable scenes are size×size; refuse before generating.
+                check_shape(size, size, cfg);
                 (scene, Some(size))
             }
             None => (demo.as_str(), None),
@@ -321,10 +333,12 @@ fn load_image(o: &Options) -> GrayImage {
         };
     }
     let path = o.input.as_ref().unwrap_or_else(|| usage());
-    pgm::load(path).unwrap_or_else(|e| {
+    let img = pgm::load(path).unwrap_or_else(|e| {
         eprintln!("cannot read {path}: {e}");
         exit(1)
-    })
+    });
+    check_shape(img.width(), img.height(), cfg);
+    img
 }
 
 fn run_engine(
@@ -668,9 +682,6 @@ fn main() {
     if o.input.is_none() && o.demo.is_none() && o.batch.is_none() {
         usage();
     }
-    // Batch mode has no single input image; everything else shares the
-    // config + telemetry sink setup below.
-    let img = (o.batch.is_none()).then(|| load_image(&o));
     let cfg = Config {
         threshold: o.threshold,
         tie_break: o.tie,
@@ -679,6 +690,9 @@ fn main() {
         max_square_log2: o.cap,
         ..Config::default()
     };
+    // Batch mode has no single input image; everything else shares the
+    // config + telemetry sink setup below.
+    let img = (o.batch.is_none()).then(|| load_image(&o, &cfg));
     let mut recorder = Recorder::new();
     // Chaos runs log with the logical clock so repeated seeded runs write
     // byte-identical journals and Chrome traces.

@@ -176,6 +176,17 @@ fn oversized_pgm_header_exits_cleanly() {
 }
 
 #[test]
+fn unindexable_image_size_exits_2_before_allocating() {
+    // 40000² pixels need more adjacency slots than the merge engine's u32
+    // indices hold; the size is refused before the 1.6 GB scene is built.
+    let out = rgrow(&["--demo", "nested:40000"]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = stderr(&out);
+    assert!(err.contains("40000x40000"), "{err}");
+    assert!(err.contains("u32"), "{err}");
+}
+
+#[test]
 fn bad_demo_size_exits_2() {
     for bad in ["nested:0", "nested:huge", "image3:128"] {
         let out = rgrow(&["--demo", bad]);

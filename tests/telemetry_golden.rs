@@ -78,6 +78,24 @@ fn golden_host_snapshot_matches() {
     check_golden(&golden_host_report(), GOLDEN_HOST);
 }
 
+/// The host snapshot's per-iteration active edges are the deduplicated
+/// edge counts: the reference merge backend reports the same on this run.
+#[test]
+fn host_active_edges_match_the_reference_backend() {
+    let img = synth::nested_rects(64);
+    let cfg = Config::with_threshold(10).tie_break(TieBreak::Random { seed: 0x5EED });
+    let mut rec = Recorder::new();
+    segment_with_telemetry(
+        &img,
+        &cfg.merge_backend(rg_core::MergeBackend::Reference),
+        &mut rec,
+    );
+    let active = |r: &TelemetryReport| -> Vec<Option<u64>> {
+        r.merge_iterations.iter().map(|m| m.active_edges).collect()
+    };
+    assert_eq!(active(&golden_host_report()), active(&rec.into_report()));
+}
+
 #[test]
 fn host_report_carries_split_counters() {
     // The split stage's packed-engine counters are deterministic data, so
