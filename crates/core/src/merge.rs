@@ -47,6 +47,14 @@
 //!     vertex space and gives each one a single contiguous row, so the
 //!     arrays shrink with the graph and the next sweep streams them in
 //!     order. The merge history and trace stay in original indices.
+//!
+//!   The build's row pass, the full sweep (in place or contracting) and
+//!   the incremental pass share one rescan kernel (`Kernel`,
+//!   `scan_row`): the paper's segmented min over flat arrays, run over
+//!   slices borrowed for the pass. Under the deterministic tie policies
+//!   its per-slot loop has no data-dependent branch and folds a packed
+//!   integer key with `min`; under [`TieBreak::Random`] it hashes only
+//!   the slots that survive the filter.
 //! * **Reference**: the original edge-list engine that rebuilds, re-sorts
 //!   and re-dedups the whole list every iteration. Kept for differential
 //!   testing and as the perf baseline pinned in `tests/bench_guards.rs`.
@@ -58,6 +66,18 @@
 //! *eagerly* at the end of each iteration — exactly when the reference
 //! filters — so the de-activation schedule, the active-edge counts, the
 //! iteration count, and the stall/fallback behaviour coincide.
+//!
+//! The CSR kernel ranks candidates by keys *order-isomorphic* to the
+//! reference backend's [`CandKey`] `(weight, tie0, tie1, c)`, not by the
+//! tuple itself. Canonical IDs strictly increase with the dense index, and
+//! contraction preserves the order, so a candidate's ID ranks exactly as
+//! its index `c`; and the pixel-range weight is the union range shifted
+//! left by 16, so the range ranks exactly as the weight. Hence
+//! `range << 32 | c` ([`TieBreak::SmallestId`]), `range << 32 | (u32::MAX
+//! − c)` ([`TieBreak::LargestId`]) and `(range, hash, c)`
+//! ([`TieBreak::Random`]) order candidates as `CandKey` does; the
+//! mean-difference criterion packs its 16.16 weight the same way, in a
+//! `u128` on 32-bit pixels whose weights need 48 bits.
 //!
 //! ### Termination
 //!
@@ -75,7 +95,9 @@
 //! a region's top-left pixel — [`crate::split::Square::id`]), not dense
 //! vertex indices, so the sequential, rayon, data-parallel, and
 //! message-passing engines make identical random decisions given the same
-//! seed.
+//! seed. The CSR kernel's packed keys drop the IDs only where their order
+//! is the dense index order (see above), so every engine still picks the
+//! same candidate.
 
 use crate::config::{
     mean_satisfies, mean_weight_fp16, range_satisfies, range_weight_fp16, Config, Connectivity,
@@ -85,9 +107,9 @@ use crate::graph::{bucket_label_pairs, for_each_boundary_pair, pixel_pairs_bound
 use crate::hierarchy::{MergeEvent, MergeTrace};
 use crate::split::SplitResult;
 use crate::telemetry::{NullTelemetry, SpanGuard, SpanKind, Telemetry};
-use rayon::prelude::*;
 use rg_dsu::DisjointSets;
 use rg_imaging::Intensity;
+use std::marker::PhantomData;
 
 /// Deterministic tie-break priority: a splitmix64-style hash of
 /// `(seed, iteration, chooser, candidate)`.
@@ -148,9 +170,6 @@ pub fn choice_key(
     let (k0, k1) = tie_key(policy, iteration, chooser_id, candidate_id);
     (weight, k0, k1, candidate)
 }
-
-/// Edge count above which the rayon paths kick in.
-const PAR_EDGES: usize = 4096;
 
 /// Deterministic-tie CSR iterations take the incremental end-of-step pass
 /// only while `INCREMENTAL_MAX_SHARE · losers < live slots`, and the full
@@ -260,6 +279,12 @@ impl<P: Intensity> SoaStats<P> {
         self.cnt[winner] += self.cnt[loser];
     }
 
+    /// `true` when a 16.16 mean distance can exceed 32 bits: means of
+    /// 32-bit pixels reach 2^32 − 1, so their weights need 48 bits.
+    fn wide_means(&self) -> bool {
+        std::mem::size_of::<P>() > 2
+    }
+
     /// Reassembles the AoS view of vertex `i`.
     #[inline]
     fn get(&self, i: usize) -> RegionStats<P> {
@@ -286,41 +311,263 @@ struct HotVertex {
     id: u64,
 }
 
-/// Binds `$weight(o, c)` (the 16.16 weight that ranks a candidate) and
-/// `$keeps(o, c, weight)` (the de-activation predicate) for `$crit` and
-/// evaluates `$body` with them, so the CSR passes monomorphise per
-/// criterion with no per-slot dispatch.
-macro_rules! with_kernels {
-    ($stats:expr, $hot:expr, $crit:expr, $t:expr, |$weight:ident, $keeps:ident| $body:expr) => {{
+/// The per-criterion half of the CSR rescan kernel: the rank that orders a
+/// chooser's candidates and the de-activation predicate.
+///
+/// The rank is order-isomorphic to the 16.16 weight of [`CandKey`]: the
+/// union range itself under the pixel-range criterion (its 16.16 weight
+/// is `range << 16`, with the low 16 bits always zero), the 16.16 mean
+/// distance under the mean-difference one.
+trait Rank: Copy {
+    /// What the kernel needs of the chooser, read once per owner.
+    type Owner: Copy;
+    fn owner(&self, o: usize) -> Self::Owner;
+    fn rank(&self, o: Self::Owner, c: usize) -> u64;
+    /// `true` iff merging the chooser and `c` satisfies the criterion.
+    fn keeps(&self, o: Self::Owner, c: usize, rank: u64) -> bool;
+}
+
+/// [`Rank`] under [`Criterion::PixelRange`]: the union range, from the
+/// packed extrema of [`HotVertex`], so one gather serves both the filter
+/// and the argmin.
+#[derive(Clone, Copy)]
+struct RangeRank<'a> {
+    hot: &'a [HotVertex],
+    t: u32,
+}
+
+impl Rank for RangeRank<'_> {
+    type Owner = HotVertex;
+    #[inline(always)]
+    fn owner(&self, o: usize) -> HotVertex {
+        self.hot[o]
+    }
+    #[inline(always)]
+    fn rank(&self, a: HotVertex, c: usize) -> u64 {
+        let b = self.hot[c];
+        u64::from(a.max.max(b.max) - a.min.min(b.min))
+    }
+    #[inline(always)]
+    fn keeps(&self, _: HotVertex, _: usize, range: u64) -> bool {
+        range <= u64::from(self.t)
+    }
+}
+
+/// [`Rank`] under [`Criterion::MeanDifference`]. Floor division makes the
+/// 16.16 mean distance an inexact proxy for the criterion, so the filter
+/// keeps the exact integer predicate.
+#[derive(Clone, Copy)]
+struct MeanRank<'a> {
+    sum: &'a [u64],
+    cnt: &'a [u64],
+    t: u32,
+}
+
+impl Rank for MeanRank<'_> {
+    type Owner = (u64, u64);
+    #[inline(always)]
+    fn owner(&self, o: usize) -> (u64, u64) {
+        (self.sum[o], self.cnt[o])
+    }
+    #[inline(always)]
+    fn rank(&self, (sum, cnt): (u64, u64), c: usize) -> u64 {
+        mean_weight_fp16(sum, cnt, self.sum[c], self.cnt[c])
+    }
+    #[inline(always)]
+    fn keeps(&self, (sum, cnt): (u64, u64), c: usize, _: u64) -> bool {
+        mean_satisfies(sum, cnt, self.sum[c], self.cnt[c], self.t)
+    }
+}
+
+/// The per-tie-policy half of the CSR rescan kernel: a chooser's argmin
+/// fold over its slots.
+trait Choose: Copy {
+    /// The running minimum.
+    type Best: Copy;
+    /// The fold's identity for chooser `o`.
+    fn start(&self, o: usize) -> Self::Best;
+    /// Folds candidate `c` of rank `rank` into `best` iff `keep`.
+    fn fold(&self, best: &mut Self::Best, keep: bool, rank: u64, c: usize);
+    /// The chosen candidate; meaningful only if some slot was kept.
+    fn pick(best: Self::Best) -> u32;
+}
+
+/// An integer key `rank << 32 | low` whose unsigned order is the
+/// lexicographic order of `(rank, low)`. `u64` holds every rank below
+/// 2^32; `u128` holds the 48-bit mean-difference ranks of 32-bit pixels.
+trait PackedKey: Copy + Ord {
+    /// All ones: the identity of the `min` fold.
+    const DEAD: Self;
+    fn pack(rank: u64, low: u32) -> Self;
+    fn low(self) -> u32;
+    /// `self` if `keep`, [`PackedKey::DEAD`] otherwise.
+    fn or_dead(self, keep: bool) -> Self;
+}
+
+impl PackedKey for u64 {
+    const DEAD: u64 = u64::MAX;
+    #[inline(always)]
+    fn pack(rank: u64, low: u32) -> u64 {
+        debug_assert!(rank >> 32 == 0, "rank {rank} does not fit a u64 key");
+        rank << 32 | u64::from(low)
+    }
+    #[inline(always)]
+    fn low(self) -> u32 {
+        self as u32
+    }
+    #[inline(always)]
+    fn or_dead(self, keep: bool) -> u64 {
+        self | u64::from(keep).wrapping_sub(1)
+    }
+}
+
+impl PackedKey for u128 {
+    const DEAD: u128 = u128::MAX;
+    #[inline(always)]
+    fn pack(rank: u64, low: u32) -> u128 {
+        u128::from(rank) << 32 | u128::from(low)
+    }
+    #[inline(always)]
+    fn low(self) -> u32 {
+        self as u32
+    }
+    #[inline(always)]
+    fn or_dead(self, keep: bool) -> u128 {
+        self | u128::from(keep).wrapping_sub(1)
+    }
+}
+
+/// [`TieBreak::SmallestId`] as a packed key `rank << 32 | c`. Canonical
+/// IDs strictly increase with the dense index (and contraction preserves
+/// the order), so `(rank, c)` orders candidates exactly as the
+/// [`CandKey`] `(weight, id, 0, c)` does.
+#[derive(Clone, Copy)]
+struct SmallestFirst<K>(PhantomData<K>);
+
+impl<K: PackedKey> Choose for SmallestFirst<K> {
+    type Best = K;
+    #[inline(always)]
+    fn start(&self, _: usize) -> K {
+        K::DEAD
+    }
+    #[inline(always)]
+    fn fold(&self, best: &mut K, keep: bool, rank: u64, c: usize) {
+        *best = (*best).min(K::pack(rank, c as u32).or_dead(keep));
+    }
+    #[inline(always)]
+    fn pick(best: K) -> u32 {
+        best.low()
+    }
+}
+
+/// [`TieBreak::LargestId`] as a packed key `rank << 32 | (u32::MAX − c)`,
+/// the same order as the [`CandKey`] `(weight, u64::MAX − id, 0, c)`. A
+/// kept candidate may pack to all ones (`c = 0` at `rank = u32::MAX`), so
+/// the all-ones identity cannot tell "no candidate": callers count the
+/// survivors instead, and an all-ones minimum decodes to `c = 0` either
+/// way.
+#[derive(Clone, Copy)]
+struct LargestFirst<K>(PhantomData<K>);
+
+impl<K: PackedKey> Choose for LargestFirst<K> {
+    type Best = K;
+    #[inline(always)]
+    fn start(&self, _: usize) -> K {
+        K::DEAD
+    }
+    #[inline(always)]
+    fn fold(&self, best: &mut K, keep: bool, rank: u64, c: usize) {
+        *best = (*best).min(K::pack(rank, !(c as u32)).or_dead(keep));
+    }
+    #[inline(always)]
+    fn pick(best: K) -> u32 {
+        !best.low()
+    }
+}
+
+/// [`TieBreak::Random`]: the tuple `(rank, hash, c)`, the same order as
+/// the [`CandKey`] `(weight, hash, id, c)`. The fold branches before the
+/// hash, so the splitmix hash is paid per surviving slot, not per slot.
+#[derive(Clone, Copy)]
+struct RandomTie<'a> {
+    seed: u64,
+    iteration: u32,
+    hot: &'a [HotVertex],
+}
+
+impl Choose for RandomTie<'_> {
+    /// The running `(rank, hash, c)` minimum and the chooser's ID.
+    type Best = ((u64, u64, u32), u64);
+    #[inline(always)]
+    fn start(&self, o: usize) -> Self::Best {
+        ((u64::MAX, u64::MAX, u32::MAX), self.hot[o].id)
+    }
+    #[inline(always)]
+    fn fold(&self, best: &mut Self::Best, keep: bool, rank: u64, c: usize) {
+        if !keep {
+            return;
+        }
+        let hash = tie_priority(self.seed, self.iteration, best.1, self.hot[c].id);
+        let k = (rank, hash, c as u32);
+        if k < best.0 {
+            best.0 = k;
+        }
+    }
+    #[inline(always)]
+    fn pick(best: Self::Best) -> u32 {
+        best.0 .2
+    }
+}
+
+/// Binds `$rank` (the criterion's [`Rank`]) and `$choose` (`$policy`'s
+/// [`Choose`] at `$iteration`) and evaluates `$body` with them, so the CSR
+/// passes monomorphise per criterion, key width and tie policy with no
+/// per-slot dispatch. The key width follows from the pixel type: `u64`
+/// wherever the rank fits 32 bits, `u128` for the mean-difference
+/// criterion on 32-bit pixels.
+macro_rules! with_kernel {
+    ($stats:expr, $hot:expr, $crit:expr, $t:expr, $policy:expr, $iteration:expr,
+     |$rank:ident, $choose:ident| $body:expr) => {{
         let (stats, hot, t) = ($stats, $hot, $t);
         match $crit {
             Criterion::PixelRange => {
-                // `range_weight_fp16` is exactly the union range in 16.16,
-                // so the criterion test is a comparison of the weight the
-                // ranking needs anyway against `threshold << 16` — one
-                // extrema gather serves both filter and argmin.
-                let cut = u64::from(t) << 16;
-                let $weight = |o: usize, c: usize| {
-                    let (a, b) = (hot[o], hot[c]);
-                    range_weight_fp16(a.min.min(b.min), a.max.max(b.max))
-                };
-                let $keeps = |_: usize, _: usize, wk: u64| wk <= cut;
-                let _ = stats;
-                $body
+                let $rank = RangeRank { hot, t };
+                with_kernel!(@tie u64, hot, $policy, $iteration, |$choose| $body)
             }
             Criterion::MeanDifference => {
-                let $weight = |o: usize, c: usize| {
-                    mean_weight_fp16(stats.sum[o], stats.cnt[o], stats.sum[c], stats.cnt[c])
+                let $rank = MeanRank {
+                    sum: &stats.sum,
+                    cnt: &stats.cnt,
+                    t,
                 };
-                // Floor division makes the 16.16 mean distance an inexact
-                // proxy for the criterion; keep the exact integer predicate.
-                let $keeps = |o: usize, c: usize, _: u64| {
-                    mean_satisfies(stats.sum[o], stats.cnt[o], stats.sum[c], stats.cnt[c], t)
+                if stats.wide_means() {
+                    with_kernel!(@tie u128, hot, $policy, $iteration, |$choose| $body)
+                } else {
+                    with_kernel!(@tie u64, hot, $policy, $iteration, |$choose| $body)
+                }
+            }
+        }
+    }};
+    (@tie $key:ty, $hot:expr, $policy:expr, $iteration:expr, |$choose:ident| $body:expr) => {
+        match $policy {
+            TieBreak::SmallestId => {
+                let $choose = SmallestFirst::<$key>(PhantomData);
+                $body
+            }
+            TieBreak::LargestId => {
+                let $choose = LargestFirst::<$key>(PhantomData);
+                $body
+            }
+            TieBreak::Random { seed } => {
+                let $choose = RandomTie {
+                    seed,
+                    iteration: $iteration,
+                    hot: $hot,
                 };
                 $body
             }
         }
-    }};
+    };
 }
 
 /// "No row" marker for the owner→rows linked lists.
@@ -561,7 +808,9 @@ impl Csr {
     /// and kept owner `o` becomes `seen[o]`, its rank among them, so
     /// "representative = smaller index" and the [`CandKey`] candidate
     /// order carry over unchanged. The sweep visits the kept owners in
-    /// that same order and appends each one's survivors to `next_col`.
+    /// that same order and writes each one's survivors to `next_col`,
+    /// which is sized to the live slots here so the kernel's unconditional
+    /// store always lands in bounds.
     fn plan_contraction(&mut self) {
         self.kept.clear();
         for &o in &self.owners {
@@ -572,7 +821,7 @@ impl Csr {
         }
         self.next_ptr.clear();
         self.next_col.clear();
-        self.next_col.reserve(self.live);
+        self.next_col.resize(self.live, 0);
     }
 
     /// Installs the layout a contracting sweep wrote: kept owner `k` owns
@@ -594,108 +843,9 @@ impl Csr {
         self.contraction_log.push(nk);
     }
 
-    /// Rescans every row owner `o` holds, in list order, under stamp
-    /// `token`:
-    ///
-    /// 1. redirects each slot through the one-level `redirect` (exact,
-    ///    because an iteration's mutual pairs form a matching: a
-    ///    representative never loses in the iteration it wins);
-    /// 2. drops self-loops, duplicate neighbours (across all of `o`'s rows,
-    ///    since they are visited back to back) and slots whose merged
-    ///    endpoints no longer satisfy the criterion;
-    /// 3. squeezes the survivors to the front of their row and unlinks rows
-    ///    left empty — or, with `CONTRACT`, appends them renumbered
-    ///    (`seen`) to `next_col`, leaving the old layout to be dropped;
-    /// 4. folds every survivor into `o`'s best [`CandKey`] under `policy`
-    ///    at `iteration`, in the *old* numbering.
-    ///
-    /// Dropping a duplicate slot is free of semantic effect: the argmin is
-    /// invariant under duplicates, and the criterion filter would kill
-    /// every copy together.
-    ///
-    /// Returns `(best, slots read, slots dropped)`.
-    #[allow(clippy::too_many_arguments)]
-    #[inline(always)]
-    fn rescan<const CONTRACT: bool, W, K>(
-        &mut self,
-        o: usize,
-        token: u64,
-        hot: &[HotVertex],
-        redirect: &[u32],
-        policy: TieBreak,
-        iteration: u32,
-        weight: &W,
-        keeps: &K,
-    ) -> (CandKey, u64, usize)
-    where
-        W: Fn(usize, usize) -> u64,
-        K: Fn(usize, usize, u64) -> bool,
-    {
-        let chooser = hot[o].id;
-        let mut b = KEY_SENTINEL;
-        let (mut read, mut dropped) = (0u64, 0usize);
-        let mut r = self.row_head[o];
-        let mut prev = NO_ROW;
-        while r != NO_ROW {
-            let ri = r as usize;
-            let next = self.row_next[ri];
-            let s = self.row_ptr[ri] as usize;
-            let len = self.row_len[ri] as usize;
-            read += len as u64;
-            let mut w = s; // in-row write cursor; never passes the read one
-            for j in s..s + len {
-                let c2 = redirect[self.col[j] as usize] as usize;
-                if c2 == o || self.stamp[c2] == token {
-                    continue;
-                }
-                let wk = weight(o, c2);
-                if !keeps(o, c2, wk) {
-                    continue;
-                }
-                self.stamp[c2] = token;
-                if CONTRACT {
-                    let nc = self.seen[c2];
-                    debug_assert_eq!(
-                        self.kept[nc as usize], c2 as u32,
-                        "slot names a dropped vertex"
-                    );
-                    self.next_col.push(nc);
-                } else {
-                    self.col[w] = c2 as u32;
-                    w += 1;
-                }
-                let (k0, k1) = tie_key(policy, iteration, chooser, hot[c2].id);
-                let k = (wk, k0, k1, c2 as u32);
-                if k < b {
-                    b = k;
-                }
-            }
-            if !CONTRACT {
-                let kept = w - s;
-                dropped += len - kept;
-                self.row_len[ri] = kept as u32;
-                if kept == 0 {
-                    // Unlink the emptied row so no future walk revisits it.
-                    if prev == NO_ROW {
-                        self.row_head[o] = next;
-                    } else {
-                        self.row_next[prev as usize] = next;
-                    }
-                    if next == NO_ROW {
-                        self.row_tail[o] = prev;
-                    }
-                } else {
-                    prev = r;
-                }
-            }
-            r = next;
-        }
-        (b, read, dropped)
-    }
-
-    /// The full end-of-step sweep: [`Csr::rescan`] of every live owner in
-    /// ascending order, in **one** pass over the owner list — so reading
-    /// every live slot once — that also
+    /// The full end-of-step sweep: the rescan kernel ([`Kernel::rescan`])
+    /// over every live owner in ascending order, in **one** pass over the
+    /// owner list — so reading every live slot once — that also
     ///
     /// * squeezes the owner list, dropping merged losers and owners left
     ///   without a slot (afterwards no dead slot, empty row or dead owner
@@ -730,79 +880,101 @@ impl Csr {
         iteration: u32,
         choice: &mut [u32],
     ) -> (u64, usize) {
-        with_kernels!(stats, hot, crit, t, |weight, keeps| if contract {
-            self.sweep_impl::<true, _, _>(hot, redirect, policy, iteration, choice, weight, keeps)
-        } else {
-            self.sweep_impl::<false, _, _>(hot, redirect, policy, iteration, choice, weight, keeps)
-        })
+        let (ops, reclaimed) = with_kernel!(
+            stats,
+            hot,
+            crit,
+            t,
+            policy,
+            iteration,
+            |rank, choose| if contract {
+                self.sweep_impl::<true, _, _>(redirect, choice, rank, choose)
+            } else {
+                self.sweep_impl::<false, _, _>(redirect, choice, rank, choose)
+            }
+        );
+        self.precomputed_for = (policy, iteration);
+        (ops, reclaimed)
     }
 
-    /// Criterion-monomorphised body of [`Csr::sweep`].
-    #[allow(clippy::too_many_arguments)]
-    fn sweep_impl<const CONTRACT: bool, W, K>(
+    /// Criterion- and policy-monomorphised body of [`Csr::sweep`].
+    fn sweep_impl<const CONTRACT: bool, R: Rank, C: Choose>(
         &mut self,
-        hot: &[HotVertex],
         redirect: &[u32],
-        policy: TieBreak,
-        iteration: u32,
         choice: &mut [u32],
-        weight: W,
-        keeps: K,
-    ) -> (u64, usize)
-    where
-        W: Fn(usize, usize) -> u64,
-        K: Fn(usize, usize, u64) -> bool,
-    {
+        rank: R,
+        choose: C,
+    ) -> (u64, usize) {
         // Token `base + o` is unique to (pass, owner `o`).
         let base = self.next_token;
         self.next_token += self.stamp.len() as u64;
+        let Csr {
+            row_ptr,
+            row_len,
+            col,
+            owners,
+            live,
+            row_head,
+            row_tail,
+            row_next,
+            seen,
+            stamp,
+            touched,
+            kept,
+            next_ptr,
+            next_col,
+            ..
+        } = self;
+        let mut k = Kernel {
+            row_ptr,
+            row_len,
+            row_head,
+            row_tail,
+            row_next,
+            col,
+            stamp,
+            seen,
+            redirect,
+            kept,
+            next_col,
+            rank,
+            choose,
+        };
         let (mut ops, mut reclaimed) = (0u64, 0usize);
         let mut kept_owners = 0usize;
-        for i in 0..self.owners.len() {
-            let o = self.owners[i] as usize;
-            if self.row_head[o] == NO_ROW {
+        let mut cursor = 0usize;
+        for i in 0..owners.len() {
+            let o = owners[i] as usize;
+            if k.row_head[o] == NO_ROW {
                 continue; // merged away, or emptied by an incremental pass
             }
             if CONTRACT {
-                self.next_ptr.push(self.next_col.len() as u32);
+                next_ptr.push(cursor as u32);
             }
-            let (b, read, dropped) = self.rescan::<CONTRACT, W, K>(
-                o,
-                base + o as u64,
-                hot,
-                redirect,
-                policy,
-                iteration,
-                &weight,
-                &keeps,
-            );
+            let (b, read, dropped) = k.rescan::<CONTRACT>(o, base + o as u64, &mut cursor);
             ops += read;
             if CONTRACT {
-                let nc = if b.3 == u32::MAX {
-                    b.3
-                } else {
-                    self.seen[b.3 as usize]
-                };
-                choice[self.seen[o] as usize] = nc;
+                let nc = if b == u32::MAX { b } else { k.seen[b as usize] };
+                choice[k.seen[o] as usize] = nc;
             } else {
                 reclaimed += dropped;
-                choice[o] = b.3;
-                if self.row_head[o] != NO_ROW {
-                    self.owners[kept_owners] = o as u32;
+                choice[o] = b;
+                if k.row_head[o] != NO_ROW {
+                    owners[kept_owners] = o as u32;
                     kept_owners += 1;
                 }
             }
         }
         if CONTRACT {
-            reclaimed = self.live - self.next_col.len();
-            self.live = self.next_col.len();
+            next_col.truncate(cursor);
+            reclaimed = *live - cursor;
+            *live = cursor;
         } else {
-            self.owners.truncate(kept_owners);
-            self.live -= reclaimed;
-            self.touched.clear();
-            self.touched.extend_from_slice(&self.owners);
+            owners.truncate(kept_owners);
+            *live -= reclaimed;
+            touched.clear();
+            touched.extend_from_slice(owners);
         }
-        self.precomputed_for = (policy, iteration);
         (ops, reclaimed)
     }
 
@@ -819,7 +991,7 @@ impl Csr {
     /// — its `choice` from the previous iteration stays exact. The dirty
     /// set is therefore `winners ∪ losers ∪ their neighbours`; the
     /// owner→rows lists enumerate it in O(dirty slots), and every dirty
-    /// owner is [`Csr::rescan`]ned exactly as the full sweep would.
+    /// owner is rescanned by the same kernel as in the full sweep.
     ///
     /// A new mutual pair must involve a vertex whose choice changed (two
     /// unchanged mutual choices would have merged an iteration earlier),
@@ -850,35 +1022,49 @@ impl Csr {
         iteration: u32,
         choice: &mut [u32],
     ) -> (u64, usize) {
-        with_kernels!(stats, hot, crit, t, |weight, keeps| self.fast_pass_impl(
-            hot, redirect, losers, policy, iteration, choice, weight, keeps
-        ))
+        debug_assert!(!matches!(policy, TieBreak::Random { .. }));
+        let (ops, reclaimed) =
+            with_kernel!(stats, hot, crit, t, policy, iteration, |rank, choose| self
+                .fast_pass_impl(redirect, losers, iteration, choice, rank, choose));
+        self.precomputed_for = (policy, iteration);
+        (ops, reclaimed)
     }
 
-    /// Criterion-monomorphised body of [`Csr::fast_pass`].
-    #[allow(clippy::too_many_arguments)]
-    fn fast_pass_impl<W, K>(
+    /// Criterion- and policy-monomorphised body of [`Csr::fast_pass`].
+    fn fast_pass_impl<R: Rank, C: Choose>(
         &mut self,
-        hot: &[HotVertex],
         redirect: &[u32],
         losers: &[u32],
-        policy: TieBreak,
         iteration: u32,
         choice: &mut [u32],
-        weight: W,
-        keeps: K,
-    ) -> (u64, usize)
-    where
-        W: Fn(usize, usize) -> u64,
-        K: Fn(usize, usize, u64) -> bool,
-    {
+        rank: R,
+        choose: C,
+    ) -> (u64, usize) {
+        let base = self.next_token;
+        self.next_token += self.stamp.len() as u64;
+        let Csr {
+            row_ptr,
+            row_len,
+            col,
+            live,
+            row_head,
+            row_tail,
+            row_next,
+            seen,
+            dirty,
+            stamp,
+            touched,
+            kept,
+            next_col,
+            ..
+        } = self;
         // `iteration` is the next step's index — strictly increasing, so
         // `iteration + 1` is a unique epoch (and clears the zero init).
         let epoch = iteration + 1;
-        self.dirty.clear();
-        let mark = |dirty: &mut Vec<u32>, epochs: &mut [u32], x: u32| {
-            if epochs[x as usize] != epoch {
-                epochs[x as usize] = epoch;
+        dirty.clear();
+        let mark = |dirty: &mut Vec<u32>, seen: &mut [u32], x: u32| {
+            if seen[x as usize] != epoch {
+                seen[x as usize] = epoch;
                 dirty.push(x);
             }
         };
@@ -886,56 +1072,225 @@ impl Csr {
         // neighbours by walking the winners' row lists (loser rows were
         // spliced in before this pass, so one walk covers the pair).
         for &v in losers {
-            mark(&mut self.dirty, &mut self.seen, v);
-            mark(&mut self.dirty, &mut self.seen, redirect[v as usize]);
+            mark(dirty, seen, v);
+            mark(dirty, seen, redirect[v as usize]);
         }
         let mut ops = 0u64;
-        let seeds = self.dirty.len();
+        let seeds = dirty.len();
         for i in 0..seeds {
-            let d = self.dirty[i] as usize;
-            let mut r = self.row_head[d];
+            let mut r = row_head[dirty[i] as usize];
             while r != NO_ROW {
                 let ri = r as usize;
-                let s = self.row_ptr[ri] as usize;
-                let len = self.row_len[ri] as usize;
-                ops += len as u64;
-                for j in s..s + len {
-                    mark(
-                        &mut self.dirty,
-                        &mut self.seen,
-                        redirect[self.col[j] as usize],
-                    );
+                let s = row_ptr[ri] as usize;
+                let row = &col[s..s + row_len[ri] as usize];
+                ops += row.len() as u64;
+                for &c in row {
+                    mark(dirty, seen, redirect[c as usize]);
                 }
-                r = self.row_next[ri];
+                r = row_next[ri];
             }
         }
         // Recompute the dirty owners from scratch; everyone else keeps
         // last iteration's `choice` (still exact — see above).
-        let base = self.next_token;
-        self.next_token += self.stamp.len() as u64;
+        let mut k = Kernel {
+            row_ptr,
+            row_len,
+            row_head,
+            row_tail,
+            row_next,
+            col,
+            stamp,
+            seen,
+            redirect,
+            kept,
+            next_col,
+            rank,
+            choose,
+        };
         let mut reclaimed = 0usize;
-        for i in 0..self.dirty.len() {
-            let d = self.dirty[i] as usize;
-            let (b, read, dropped) = self.rescan::<false, W, K>(
-                d,
-                base + d as u64,
-                hot,
-                redirect,
-                policy,
-                iteration,
-                &weight,
-                &keeps,
-            );
+        for &d in dirty.iter() {
+            let d = d as usize;
+            let (b, read, dropped) = k.rescan::<false>(d, base + d as u64, &mut 0);
             ops += read;
             reclaimed += dropped;
-            choice[d] = b.3; // `u32::MAX` when no candidate survived
+            choice[d] = b; // `u32::MAX` when no candidate survived
         }
-        self.live -= reclaimed;
+        *live -= reclaimed;
         // Hand the dirty list to the next apply step as its candidates.
-        std::mem::swap(&mut self.touched, &mut self.dirty);
-        self.precomputed_for = (policy, iteration);
+        std::mem::swap(touched, dirty);
         (ops, reclaimed)
     }
+}
+
+/// The CSR rescan kernel: every array a pass touches per slot, borrowed
+/// from the [`Csr`] as disjoint slices for the length of one pass, so the
+/// per-slot loop ([`scan_row`]) reads no field through `&mut self`.
+struct Kernel<'a, R, C> {
+    row_ptr: &'a [u32],
+    row_len: &'a mut [u32],
+    row_head: &'a mut [u32],
+    row_tail: &'a mut [u32],
+    row_next: &'a mut [u32],
+    col: &'a mut [u32],
+    stamp: &'a mut [u64],
+    /// The contraction's old → new vertex map (read only when contracting).
+    seen: &'a [u32],
+    redirect: &'a [u32],
+    /// The contraction's kept owners (read only by a debug check).
+    kept: &'a [u32],
+    /// The contraction's slot target, sized to the live slots beforehand.
+    next_col: &'a mut [u32],
+    rank: R,
+    choose: C,
+}
+
+impl<R: Rank, C: Choose> Kernel<'_, R, C> {
+    /// Rescans every row owner `o` holds, in list order, under stamp
+    /// `token`:
+    ///
+    /// 1. redirects each slot through the one-level `redirect` (exact,
+    ///    because an iteration's mutual pairs form a matching: a
+    ///    representative never loses in the iteration it wins);
+    /// 2. drops self-loops, duplicate neighbours (across all of `o`'s rows,
+    ///    since they are visited back to back) and slots whose merged
+    ///    endpoints no longer satisfy the criterion;
+    /// 3. squeezes the survivors to the front of their row and unlinks rows
+    ///    left empty — or, with `CONTRACT`, writes them renumbered
+    ///    (`seen`) to `next_col` from `cursor` on, leaving the old layout
+    ///    to be dropped;
+    /// 4. folds every survivor into `o`'s best candidate under the
+    ///    kernel's tie policy, in the *old* numbering.
+    ///
+    /// Dropping a duplicate slot is free of semantic effect: the argmin is
+    /// invariant under duplicates, and the criterion filter would kill
+    /// every copy together.
+    ///
+    /// Returns `(choice, slots read, slots dropped)`, with `choice =
+    /// u32::MAX` when no slot survived; `dropped` is counted only in place
+    /// (a contraction's caller reads it off `cursor`).
+    #[inline(always)]
+    fn rescan<const CONTRACT: bool>(
+        &mut self,
+        o: usize,
+        token: u64,
+        cursor: &mut usize,
+    ) -> (u32, u64, usize) {
+        let owner = self.rank.owner(o);
+        let mut best = self.choose.start(o);
+        let (mut read, mut dropped, mut survivors) = (0u64, 0usize, 0usize);
+        let first = *cursor;
+        let mut r = self.row_head[o];
+        let mut prev = NO_ROW;
+        while r != NO_ROW {
+            let ri = r as usize;
+            let next = self.row_next[ri];
+            let s = self.row_ptr[ri] as usize;
+            let len = self.row_len[ri] as usize;
+            read += len as u64;
+            let row = &mut self.col[s..s + len];
+            let (out, from) = if CONTRACT {
+                (&mut *self.next_col, *cursor)
+            } else {
+                (&mut [][..], 0)
+            };
+            let end = scan_row::<CONTRACT, R, C>(
+                &self.rank,
+                &self.choose,
+                o,
+                owner,
+                token,
+                row,
+                out,
+                from,
+                self.redirect,
+                self.stamp,
+                self.seen,
+                self.kept,
+                &mut best,
+            );
+            if CONTRACT {
+                *cursor = end;
+            } else {
+                let kept = end;
+                survivors += kept;
+                dropped += len - kept;
+                self.row_len[ri] = kept as u32;
+                if kept == 0 {
+                    // Unlink the emptied row so no future walk revisits it.
+                    if prev == NO_ROW {
+                        self.row_head[o] = next;
+                    } else {
+                        self.row_next[prev as usize] = next;
+                    }
+                    if next == NO_ROW {
+                        self.row_tail[o] = prev;
+                    }
+                } else {
+                    prev = r;
+                }
+            }
+            r = next;
+        }
+        if CONTRACT {
+            survivors = *cursor - first;
+        }
+        let choice = if survivors > 0 {
+            C::pick(best)
+        } else {
+            u32::MAX
+        };
+        (choice, read, dropped)
+    }
+}
+
+/// The per-slot loop of the rescan kernel over one row, on local slices
+/// only. Under the deterministic tie policies it has no data-dependent
+/// branch: every slot stamps its neighbour, computes
+/// `keep = (c ≠ o) & fresh & keeps(..)`, stores the neighbour at the write
+/// cursor (`row` itself in place, `out` renumbered by `seen` when
+/// `CONTRACT`) and advances the cursor by `keep`; the tie policy folds
+/// the slot into `best` ([`Choose::fold`], a packed-integer `min` except
+/// under [`TieBreak::Random`]). Stamping a slot that is not kept changes
+/// nothing: a self-loop never survives, and a later copy of a neighbour
+/// that failed the criterion would fail it too.
+///
+/// Returns the write cursor after the row.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn scan_row<const CONTRACT: bool, R: Rank, C: Choose>(
+    rank: &R,
+    choose: &C,
+    o: usize,
+    owner: R::Owner,
+    token: u64,
+    row: &mut [u32],
+    out: &mut [u32],
+    mut w: usize,
+    redirect: &[u32],
+    stamp: &mut [u64],
+    seen: &[u32],
+    kept: &[u32],
+    best: &mut C::Best,
+) -> usize {
+    for j in 0..row.len() {
+        let c = redirect[row[j] as usize] as usize;
+        let fresh = stamp[c] != token;
+        stamp[c] = token;
+        let rk = rank.rank(owner, c);
+        let keep = (c != o) & fresh & rank.keeps(owner, c, rk);
+        if CONTRACT {
+            debug_assert!(
+                !keep || kept[seen[c] as usize] == c as u32,
+                "slot names a dropped vertex"
+            );
+            out[w] = seen[c];
+        } else {
+            row[w] = c as u32;
+        }
+        w += usize::from(keep);
+        choose.fold(best, keep, rk, c);
+    }
+    w
 }
 
 /// The backend-specific adjacency state.
@@ -1466,7 +1821,6 @@ impl<P: Intensity> Merger<P> {
         let iteration = self.iterations;
         let crit = self.criterion;
         let Self {
-            parallel,
             hot,
             stats,
             backend,
@@ -1494,24 +1848,6 @@ impl<P: Intensity> Merger<P> {
             );
             (w, k0, k1, nb)
         };
-        if *parallel && edges.len() >= PAR_EDGES {
-            // CM-style: build the directed candidate list, sort by
-            // (vertex, rank), take the head of each segment.
-            choice.fill(u32::MAX);
-            let mut directed: Vec<(u32, CandKey)> = edges
-                .par_iter()
-                .flat_map_iter(|&(u, v)| [(u, cand(u, v)), (v, cand(v, u))].into_iter())
-                .collect();
-            directed.par_sort_unstable();
-            let mut prev = u32::MAX;
-            for (vtx, key) in directed {
-                if vtx != prev {
-                    choice[vtx as usize] = key.3;
-                    prev = vtx;
-                }
-            }
-            return;
-        }
         best.fill(KEY_SENTINEL);
         for &(u, v) in edges.iter() {
             let ku = cand(u, v);
@@ -1648,7 +1984,6 @@ impl<P: Intensity> Merger<P> {
             choice,
             tie,
             iterations,
-            parallel,
             pending_losers,
             relabel_ops,
             compactions,
@@ -1675,15 +2010,8 @@ impl<P: Intensity> Merger<P> {
                     };
                     // Two endpoint maps per edge …
                     *relabel_ops += 2 * edges.len() as u64;
-                    let mut next: Vec<(u32, u32)> = if *parallel && edges.len() >= PAR_EDGES {
-                        let mut v: Vec<_> = edges.par_iter().filter_map(map).collect();
-                        v.par_sort_unstable();
-                        v
-                    } else {
-                        let mut v: Vec<_> = edges.iter().filter_map(map).collect();
-                        v.sort_unstable();
-                        v
-                    };
+                    let mut next: Vec<(u32, u32)> = edges.iter().filter_map(map).collect();
+                    next.sort_unstable();
                     // … plus the canonicalising sort (⌈log₂ E⌉ element
                     // moves per edge) and the dedup scan (one more) — the
                     // O(E log E) term the CSR backend exists to eliminate.
@@ -1789,7 +2117,7 @@ mod tests {
     use super::*;
     use crate::config::Connectivity;
     use crate::split::split;
-    use rg_imaging::synth;
+    use rg_imaging::{synth, Image};
 
     fn make_merger_on(t: u32, tie: TieBreak, parallel: bool, backend: MergeBackend) -> Merger<u8> {
         let img = synth::figure1_image();
@@ -2112,6 +2440,242 @@ mod tests {
             let steps = |o: &Observed| o.0.iter().map(|x| (x.0, x.1)).collect::<Vec<_>>();
             proptest::prop_assert_eq!(steps(&got), steps(&r));
         }
+    }
+
+    /// Builds a CSR merger over `pairs` and checks that the build's first
+    /// pass — the rescan kernel with packed keys under the deterministic
+    /// policies, `(rank, hash, c)` tuples under Random — gives every vertex
+    /// the [`CandKey`] argmin over its neighbours that satisfy the
+    /// criterion (`u32::MAX` when none does).
+    fn check_kernel_choices<P: Intensity>(
+        stats: Vec<RegionStats<P>>,
+        pairs: Vec<(u32, u32)>,
+        crit: Criterion,
+        t: u32,
+        tie: TieBreak,
+    ) -> Result<(), String> {
+        let n = stats.len();
+        // Strictly increasing canonical IDs with uneven gaps.
+        let ids: Vec<u64> = (0..n as u64).map(|v| v * v + 3 * v).collect();
+        let mut want = vec![KEY_SENTINEL; n];
+        for &(u, v) in &pairs {
+            for (a, b) in [(u, v), (v, u)] {
+                let (sa, sb) = (&stats[a as usize], &stats[b as usize]);
+                if a == b || !crit.satisfies(sa, sb, t) {
+                    continue;
+                }
+                let w = crit.weight(sa, sb);
+                let k = choice_key(tie, 0, ids[a as usize], ids[b as usize], w, b);
+                want[a as usize] = want[a as usize].min(k);
+            }
+        }
+        let want: Vec<u32> = want.iter().map(|k| k.3).collect();
+        let cfg = Config::with_threshold(t).tie_break(tie).criterion(crit);
+        let m = Merger::new(Rag::from_parts(stats, pairs), ids, &cfg, false);
+        if m.choice == want {
+            Ok(())
+        } else {
+            Err(format!(
+                "{crit:?} {tie:?} t={t}: kernel {:?} != CandKey {want:?}",
+                m.choice
+            ))
+        }
+    }
+
+    /// Region statistics spanning `0..=P::MAX`: extrema pinned to the
+    /// ends of the range half the time, so unions reach the full range.
+    fn stats_strategy<P: Intensity>(
+        n: usize,
+    ) -> impl proptest::Strategy<Value = Vec<RegionStats<P>>> {
+        use proptest::prelude::*;
+        let top = P::MAX_VALUE.to_u32();
+        let value = || prop_oneof![Just(0u32), Just(top), 0..=top, 0..=top.min(40)];
+        proptest::collection::vec((value(), value(), 1u64..4, 0u64..=8), n).prop_map(|v| {
+            v.into_iter()
+                .map(|(a, b, count, k)| {
+                    let (lo, hi) = (a.min(b), a.max(b));
+                    // Any sum between the extrema's; the kernels do
+                    // not check consistency.
+                    let sum = u64::from(lo) * count + u64::from(hi - lo) * count * k / 8;
+                    RegionStats {
+                        min: P::from_u32_saturating(lo),
+                        max: P::from_u32_saturating(hi),
+                        sum,
+                        count,
+                    }
+                })
+                .collect()
+        })
+    }
+
+    /// Thresholds around the packing limits: small, at the 16.16 mean
+    /// weight's 32-bit boundary (`2^16`), and the whole `u32` range.
+    fn threshold_strategy() -> impl proptest::Strategy<Value = u32> {
+        use proptest::prelude::*;
+        prop_oneof![
+            0u32..40,
+            (1u32 << 16) - 2..(1 << 16) + 2,
+            Just(u32::MAX),
+            proptest::prelude::any::<u32>(),
+        ]
+    }
+
+    /// Candidate sets over `n` vertices: duplicates and self-loops
+    /// included, every pair in both orientations.
+    fn pairs_strategy(n: u32) -> impl proptest::Strategy<Value = Vec<(u32, u32)>> {
+        proptest::collection::vec((0..n, 0..n), 1..48)
+    }
+
+    fn kernel_case<P: Intensity>(
+        stats: Vec<RegionStats<P>>,
+        pairs: Vec<(u32, u32)>,
+        t: u32,
+        seed: u64,
+    ) -> Result<(), String> {
+        for crit in [Criterion::PixelRange, Criterion::MeanDifference] {
+            for tie in [
+                TieBreak::SmallestId,
+                TieBreak::LargestId,
+                TieBreak::Random { seed },
+            ] {
+                check_kernel_choices(stats.clone(), pairs.clone(), crit, t, tie)?;
+            }
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(96))]
+
+        /// The packed-key argmin equals the `CandKey` argmin for every tie
+        /// policy × criterion on 8-, 16- and 32-bit pixels.
+        #[test]
+        fn packed_keys_rank_like_cand_keys(
+            s8 in stats_strategy::<u8>(12),
+            s16 in stats_strategy::<u16>(12),
+            s32 in stats_strategy::<u32>(12),
+            pairs in pairs_strategy(12),
+            t in threshold_strategy(),
+            seed in 0u64..1_000,
+        ) {
+            let run = || -> Result<(), String> {
+                kernel_case(s8.clone(), pairs.clone(), t, seed)?;
+                kernel_case(s16.clone(), pairs.clone(), t, seed)?;
+                kernel_case(s32.clone(), pairs.clone(), t, seed)
+            };
+            proptest::prop_assert_eq!(run(), Ok(()));
+        }
+    }
+
+    /// The packing limits, pinned: a union range of `u32::MAX`; the
+    /// `LargestId` key of candidate 0 at that range, which packs to
+    /// `u64::MAX` — the fold's all-ones identity — and must still be
+    /// chosen; and mean distances of `2^16` and more on 32-bit pixels,
+    /// whose 16.16 weights need the `u128` key.
+    #[test]
+    fn packed_keys_at_the_packing_limits() {
+        let region = |min: u32, max: u32, count: u64| RegionStats::<u32> {
+            min,
+            max,
+            sum: (u64::from(min) + u64::from(max)) * count / 2,
+            count,
+        };
+        let corners = vec![
+            region(0, 0, 1),
+            region(u32::MAX, u32::MAX, 1),
+            region(1 << 16, 1 << 16, 2),
+            region(u32::MAX - 1, u32::MAX, 2),
+            region(0, 1, 2),
+        ];
+        let pairs = vec![(0, 1), (1, 2), (1, 3), (0, 4), (2, 4), (0, 1)];
+        for crit in [Criterion::PixelRange, Criterion::MeanDifference] {
+            for tie in [
+                TieBreak::SmallestId,
+                TieBreak::LargestId,
+                TieBreak::Random { seed: 3 },
+            ] {
+                for t in [u32::MAX, u32::MAX - 1, 1 << 16, (1 << 16) - 1, 2] {
+                    check_kernel_choices(corners.clone(), pairs.clone(), crit, t, tie).unwrap();
+                }
+            }
+        }
+        // Vertex 1's only neighbour 0 under LargestId at the full range:
+        // the packed key is all ones and must still decode to 0.
+        let cfg = Config::with_threshold(u32::MAX).tie_break(TieBreak::LargestId);
+        let m = Merger::new(
+            Rag::from_parts(corners[..2].to_vec(), vec![(0, 1)]),
+            vec![0, 1],
+            &cfg,
+            false,
+        );
+        assert_eq!(m.choice, vec![1, 0]);
+    }
+
+    /// `w × h` noise of `P` in `lo..=hi` with the full-range extremes
+    /// planted at two pixels, so a merged region can span `0..=P::MAX`.
+    fn wide_noise<P: Intensity>(w: usize, h: usize, lo: u32, hi: u32, seed: u64) -> Image<P> {
+        let span = u64::from(hi - lo) + 1;
+        Image::from_fn(w, h, |x, y| {
+            let v = match (x, y) {
+                (0, 0) => 0,
+                (1, 0) => P::MAX_VALUE.to_u32(),
+                _ => lo + (tie_priority(seed, 0, x as u64, y as u64) % span) as u32,
+            };
+            P::from_u32_saturating(v)
+        })
+    }
+
+    /// CSR and the reference backend agree on labels, merges per
+    /// iteration and per-step active edges for `img` under every
+    /// criterion × tie policy × threshold.
+    fn assert_backends_agree<P: Intensity>(img: &Image<P>, thresholds: &[u32]) {
+        for &t in thresholds {
+            for crit in [Criterion::PixelRange, Criterion::MeanDifference] {
+                for tie in [
+                    TieBreak::SmallestId,
+                    TieBreak::LargestId,
+                    TieBreak::Random { seed: 5 },
+                ] {
+                    let run = |backend: MergeBackend| {
+                        let cfg = Config::with_threshold(t)
+                            .tie_break(tie)
+                            .criterion(crit)
+                            .merge_backend(backend);
+                        let mut m = Merger::from_split(&split(img, &cfg), &cfg, false);
+                        let mut active = Vec::new();
+                        while !m.is_done() {
+                            active.push(m.step().active_edges);
+                        }
+                        let merges = m.merges_per_iteration().to_vec();
+                        (m.labels_by_vertex(), merges, active)
+                    };
+                    let csr = run(MergeBackend::Csr);
+                    assert!(!csr.1.is_empty(), "{crit:?} {tie:?} t={t}: nothing merged");
+                    assert_eq!(csr, run(MergeBackend::Reference), "{crit:?} {tie:?} t={t}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn u16_merges_match_reference() {
+        let top = u32::from(u16::MAX);
+        assert_backends_agree(&wide_noise::<u16>(40, 36, 0, 4095, 1), &[255, 1024, 4096]);
+        // Every edge is kept and mean weights reach `2^32 − 2^16`, the
+        // top of the u64 key.
+        assert_backends_agree(&wide_noise::<u16>(24, 20, 0, top, 2), &[top]);
+    }
+
+    #[test]
+    fn u32_merges_match_reference() {
+        let lo = u32::MAX - (1 << 19);
+        // Mean distances around 2^16 straddle the 32-bit weight limit.
+        assert_backends_agree(
+            &wide_noise::<u32>(40, 36, lo, u32::MAX, 3),
+            &[(1 << 16) - 1, 1 << 16, 1 << 17],
+        );
+        // Full range: unions reach `u32::MAX`, mean weights 48 bits.
+        assert_backends_agree(&wide_noise::<u32>(24, 20, 0, u32::MAX, 4), &[u32::MAX]);
     }
 
     #[test]

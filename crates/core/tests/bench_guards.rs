@@ -47,10 +47,10 @@ type MergePin = (TieBreak, MergeBackend, u64, usize, u32, u64, u64, u64);
 /// Runs the merge of every pinned row of one 512² scene and checks its
 /// counters, then that a warm `HostPipeline` — whose merger builds its
 /// adjacency straight from the split's pixel map — counts exactly the
-/// same, and that CSR reads no more slots than the reference backend
-/// under each tie policy.
+/// same, and that under each tie policy CSR labels every vertex exactly as
+/// the reference backend does while reading no more slots.
 fn check_merge_scene(name: &str, img: &GrayImage, threshold: u32, pins: &[MergePin]) {
-    let mut relabel = Vec::new();
+    let mut runs = Vec::new();
     for &(tie, backend, edges, regions, iters, peak, work, compactions) in pins {
         let cfg = Config::with_threshold(threshold)
             .tie_break(tie)
@@ -75,7 +75,7 @@ fn check_merge_scene(name: &str, img: &GrayImage, threshold: u32, pins: &[MergeP
         assert_work(&format!("{what}: relabel_work"), work_got, work);
         let compact_got = merger.compactions();
         assert_work(&format!("{what}: compactions"), compact_got, compactions);
-        relabel.push((tie, backend, work_got));
+        runs.push((tie, backend, work_got, merger.labels_by_vertex()));
 
         let mut pipe = HostPipeline::<u8>::new(cfg, false);
         pipe.run_image(img);
@@ -99,16 +99,20 @@ fn check_merge_scene(name: &str, img: &GrayImage, threshold: u32, pins: &[MergeP
             "{what}: HostPipeline merger counters differ from Merger::new"
         );
     }
-    for &(tie, backend, csr) in &relabel {
-        if backend != CSR {
+    for (tie, backend, csr, csr_labels) in &runs {
+        if *backend != CSR {
             continue;
         }
-        let (_, _, reference) = relabel
+        let (_, _, reference, ref_labels) = runs
             .iter()
-            .find(|r| r.0 == tie && r.1 == REFERENCE)
+            .find(|r| r.0 == *tie && r.1 == REFERENCE)
             .expect("reference row pinned");
         assert!(
-            csr <= *reference,
+            csr_labels == ref_labels,
+            "{name}/{tie:?}: CSR labels differ from the reference backend's"
+        );
+        assert!(
+            csr <= reference,
             "{name}/{tie:?}: CSR relabel_work {csr} > reference {reference}"
         );
     }
