@@ -49,12 +49,13 @@
 //!     order. The merge history and trace stay in original indices.
 //!
 //!   The build's row pass, the full sweep (in place or contracting) and
-//!   the incremental pass share one rescan kernel (`Kernel`,
-//!   `scan_row`): the paper's segmented min over flat arrays, run over
-//!   slices borrowed for the pass. Under the deterministic tie policies
-//!   its per-slot loop has no data-dependent branch and folds a packed
-//!   integer key with `min`; under [`TieBreak::Random`] it hashes only
-//!   the slots that survive the filter.
+//!   the incremental pass share one rescan kernel (`Csr::rescan`, whose
+//!   per-slot loop `scan_row` runs on slices borrowed from disjoint
+//!   fields): the paper's segmented min over flat arrays. Under the
+//!   deterministic tie policies its per-slot loop has no data-dependent
+//!   branch and folds a packed integer key with `min`; under
+//!   [`TieBreak::Random`] it hashes only the slots that survive the
+//!   filter.
 //! * **Reference**: the original edge-list engine that rebuilds, re-sorts
 //!   and re-dedups the whole list every iteration. Kept for differential
 //!   testing and as the perf baseline pinned in `tests/bench_guards.rs`.
@@ -77,7 +78,7 @@
 //! − c)` ([`TieBreak::LargestId`]) and `(range, hash, c)`
 //! ([`TieBreak::Random`]) order candidates as `CandKey` does; the
 //! mean-difference criterion packs its 16.16 weight the same way, in a
-//! `u128` on 32-bit pixels whose weights need 48 bits.
+//! `u128` because on 32-bit pixels its weights need 48 bits.
 //!
 //! ### Termination
 //!
@@ -279,12 +280,6 @@ impl<P: Intensity> SoaStats<P> {
         self.cnt[winner] += self.cnt[loser];
     }
 
-    /// `true` when a 16.16 mean distance can exceed 32 bits: means of
-    /// 32-bit pixels reach 2^32 − 1, so their weights need 48 bits.
-    fn wide_means(&self) -> bool {
-        std::mem::size_of::<P>() > 2
-    }
-
     /// Reassembles the AoS view of vertex `i`.
     #[inline]
     fn get(&self, i: usize) -> RegionStats<P> {
@@ -394,7 +389,8 @@ trait Choose: Copy {
 
 /// An integer key `rank << 32 | low` whose unsigned order is the
 /// lexicographic order of `(rank, low)`. `u64` holds every rank below
-/// 2^32; `u128` holds the 48-bit mean-difference ranks of 32-bit pixels.
+/// 2^32 (every union range); `u128` holds every mean-difference rank,
+/// which takes 48 bits on 32-bit pixels.
 trait PackedKey: Copy + Ord {
     /// All ones: the identity of the `min` fold.
     const DEAD: Self;
@@ -521,18 +517,20 @@ impl Choose for RandomTie<'_> {
 
 /// Binds `$rank` (the criterion's [`Rank`]) and `$choose` (`$policy`'s
 /// [`Choose`] at `$iteration`) and evaluates `$body` with them, so the CSR
-/// passes monomorphise per criterion, key width and tie policy with no
-/// per-slot dispatch. The key width follows from the pixel type: `u64`
-/// wherever the rank fits 32 bits, `u128` for the mean-difference
-/// criterion on 32-bit pixels.
+/// passes monomorphise per criterion and tie policy with no per-slot
+/// dispatch. The packed key is `u64` under the pixel-range criterion,
+/// whose rank is a union range below 2^32, and `u128` under the
+/// mean-difference one, whose 16.16 distances need 48 bits on 32-bit
+/// pixels. `$ties` is `any`, or `deterministic` for a pass that never
+/// runs under [`TieBreak::Random`] (no [`RandomTie`] body is generated).
 macro_rules! with_kernel {
-    ($stats:expr, $hot:expr, $crit:expr, $t:expr, $policy:expr, $iteration:expr,
-     |$rank:ident, $choose:ident| $body:expr) => {{
+    ($ties:ident: $stats:expr, $hot:expr, $crit:expr, $t:expr, $policy:expr,
+     $iteration:expr, |$rank:ident, $choose:ident| $body:expr) => {{
         let (stats, hot, t) = ($stats, $hot, $t);
         match $crit {
             Criterion::PixelRange => {
                 let $rank = RangeRank { hot, t };
-                with_kernel!(@tie u64, hot, $policy, $iteration, |$choose| $body)
+                with_kernel!(@$ties u64, hot, $policy, $iteration, |$choose| $body)
             }
             Criterion::MeanDifference => {
                 let $rank = MeanRank {
@@ -540,15 +538,24 @@ macro_rules! with_kernel {
                     cnt: &stats.cnt,
                     t,
                 };
-                if stats.wide_means() {
-                    with_kernel!(@tie u128, hot, $policy, $iteration, |$choose| $body)
-                } else {
-                    with_kernel!(@tie u64, hot, $policy, $iteration, |$choose| $body)
-                }
+                with_kernel!(@$ties u128, hot, $policy, $iteration, |$choose| $body)
             }
         }
     }};
-    (@tie $key:ty, $hot:expr, $policy:expr, $iteration:expr, |$choose:ident| $body:expr) => {
+    (@any $key:ty, $hot:expr, $policy:expr, $iteration:expr, |$choose:ident| $body:expr) => {
+        match $policy {
+            TieBreak::Random { seed } => {
+                let $choose = RandomTie {
+                    seed,
+                    iteration: $iteration,
+                    hot: $hot,
+                };
+                $body
+            }
+            policy => with_kernel!(@deterministic $key, $hot, policy, $iteration, |$choose| $body),
+        }
+    };
+    (@deterministic $key:ty, $hot:expr, $policy:expr, $iteration:expr, |$choose:ident| $body:expr) => {
         match $policy {
             TieBreak::SmallestId => {
                 let $choose = SmallestFirst::<$key>(PhantomData);
@@ -558,14 +565,7 @@ macro_rules! with_kernel {
                 let $choose = LargestFirst::<$key>(PhantomData);
                 $body
             }
-            TieBreak::Random { seed } => {
-                let $choose = RandomTie {
-                    seed,
-                    iteration: $iteration,
-                    hot: $hot,
-                };
-                $body
-            }
+            TieBreak::Random { .. } => unreachable!("this pass runs under deterministic ties only"),
         }
     };
 }
@@ -843,9 +843,9 @@ impl Csr {
         self.contraction_log.push(nk);
     }
 
-    /// The full end-of-step sweep: the rescan kernel ([`Kernel::rescan`])
-    /// over every live owner in ascending order, in **one** pass over the
-    /// owner list — so reading every live slot once — that also
+    /// The full end-of-step sweep: [`Csr::rescan`] over every live owner
+    /// in ascending order, in **one** pass over the owner list — so reading
+    /// every live slot once — that also
     ///
     /// * squeezes the owner list, dropping merged losers and owners left
     ///   without a slot (afterwards no dead slot, empty row or dead owner
@@ -881,7 +881,7 @@ impl Csr {
         choice: &mut [u32],
     ) -> (u64, usize) {
         let (ops, reclaimed) = with_kernel!(
-            stats,
+            any: stats,
             hot,
             crit,
             t,
@@ -908,72 +908,51 @@ impl Csr {
         // Token `base + o` is unique to (pass, owner `o`).
         let base = self.next_token;
         self.next_token += self.stamp.len() as u64;
-        let Csr {
-            row_ptr,
-            row_len,
-            col,
-            owners,
-            live,
-            row_head,
-            row_tail,
-            row_next,
-            seen,
-            stamp,
-            touched,
-            kept,
-            next_ptr,
-            next_col,
-            ..
-        } = self;
-        let mut k = Kernel {
-            row_ptr,
-            row_len,
-            row_head,
-            row_tail,
-            row_next,
-            col,
-            stamp,
-            seen,
-            redirect,
-            kept,
-            next_col,
-            rank,
-            choose,
-        };
         let (mut ops, mut reclaimed) = (0u64, 0usize);
         let mut kept_owners = 0usize;
         let mut cursor = 0usize;
-        for i in 0..owners.len() {
-            let o = owners[i] as usize;
-            if k.row_head[o] == NO_ROW {
+        for i in 0..self.owners.len() {
+            let o = self.owners[i] as usize;
+            if self.row_head[o] == NO_ROW {
                 continue; // merged away, or emptied by an incremental pass
             }
             if CONTRACT {
-                next_ptr.push(cursor as u32);
+                self.next_ptr.push(cursor as u32);
             }
-            let (b, read, dropped) = k.rescan::<CONTRACT>(o, base + o as u64, &mut cursor);
+            let (b, read, dropped) = self.rescan::<CONTRACT, _, _>(
+                rank,
+                choose,
+                redirect,
+                o,
+                base + o as u64,
+                &mut cursor,
+            );
             ops += read;
             if CONTRACT {
-                let nc = if b == u32::MAX { b } else { k.seen[b as usize] };
-                choice[k.seen[o] as usize] = nc;
+                let nc = if b == u32::MAX {
+                    b
+                } else {
+                    self.seen[b as usize]
+                };
+                choice[self.seen[o] as usize] = nc;
             } else {
                 reclaimed += dropped;
                 choice[o] = b;
-                if k.row_head[o] != NO_ROW {
-                    owners[kept_owners] = o as u32;
+                if self.row_head[o] != NO_ROW {
+                    self.owners[kept_owners] = o as u32;
                     kept_owners += 1;
                 }
             }
         }
         if CONTRACT {
-            next_col.truncate(cursor);
-            reclaimed = *live - cursor;
-            *live = cursor;
+            self.next_col.truncate(cursor);
+            reclaimed = self.live - cursor;
+            self.live = cursor;
         } else {
-            owners.truncate(kept_owners);
-            *live -= reclaimed;
-            touched.clear();
-            touched.extend_from_slice(owners);
+            self.owners.truncate(kept_owners);
+            self.live -= reclaimed;
+            self.touched.clear();
+            self.touched.extend_from_slice(&self.owners);
         }
         (ops, reclaimed)
     }
@@ -991,7 +970,7 @@ impl Csr {
     /// — its `choice` from the previous iteration stays exact. The dirty
     /// set is therefore `winners ∪ losers ∪ their neighbours`; the
     /// owner→rows lists enumerate it in O(dirty slots), and every dirty
-    /// owner is rescanned by the same kernel as in the full sweep.
+    /// owner is rescanned by the same [`Csr::rescan`] as in the full sweep.
     ///
     /// A new mutual pair must involve a vertex whose choice changed (two
     /// unchanged mutual choices would have merged an iteration earlier),
@@ -1022,10 +1001,15 @@ impl Csr {
         iteration: u32,
         choice: &mut [u32],
     ) -> (u64, usize) {
-        debug_assert!(!matches!(policy, TieBreak::Random { .. }));
-        let (ops, reclaimed) =
-            with_kernel!(stats, hot, crit, t, policy, iteration, |rank, choose| self
-                .fast_pass_impl(redirect, losers, iteration, choice, rank, choose));
+        let (ops, reclaimed) = with_kernel!(
+            deterministic: stats,
+            hot,
+            crit,
+            t,
+            policy,
+            iteration,
+            |rank, choose| self.fast_pass_impl(redirect, losers, iteration, choice, rank, choose)
+        );
         self.precomputed_for = (policy, iteration);
         (ops, reclaimed)
     }
@@ -1042,124 +1026,86 @@ impl Csr {
     ) -> (u64, usize) {
         let base = self.next_token;
         self.next_token += self.stamp.len() as u64;
-        let Csr {
-            row_ptr,
-            row_len,
-            col,
-            live,
-            row_head,
-            row_tail,
-            row_next,
-            seen,
-            dirty,
-            stamp,
-            touched,
-            kept,
-            next_col,
-            ..
-        } = self;
         // `iteration` is the next step's index — strictly increasing, so
         // `iteration + 1` is a unique epoch (and clears the zero init).
         let epoch = iteration + 1;
-        dirty.clear();
-        let mark = |dirty: &mut Vec<u32>, seen: &mut [u32], x: u32| {
-            if seen[x as usize] != epoch {
-                seen[x as usize] = epoch;
-                dirty.push(x);
-            }
-        };
-        // Seed with this iteration's winners and losers, then mark their
-        // neighbours by walking the winners' row lists (loser rows were
-        // spliced in before this pass, so one walk covers the pair).
-        for &v in losers {
-            mark(dirty, seen, v);
-            mark(dirty, seen, redirect[v as usize]);
-        }
         let mut ops = 0u64;
-        let seeds = dirty.len();
-        for i in 0..seeds {
-            let mut r = row_head[dirty[i] as usize];
-            while r != NO_ROW {
-                let ri = r as usize;
-                let s = row_ptr[ri] as usize;
-                let row = &col[s..s + row_len[ri] as usize];
-                ops += row.len() as u64;
-                for &c in row {
-                    mark(dirty, seen, redirect[c as usize]);
+        {
+            let Csr {
+                row_ptr,
+                row_len,
+                col,
+                row_head,
+                row_next,
+                seen,
+                dirty,
+                ..
+            } = &mut *self;
+            dirty.clear();
+            let mark = |dirty: &mut Vec<u32>, seen: &mut [u32], x: u32| {
+                if seen[x as usize] != epoch {
+                    seen[x as usize] = epoch;
+                    dirty.push(x);
                 }
-                r = row_next[ri];
+            };
+            // Seed with this iteration's winners and losers, then mark their
+            // neighbours by walking the winners' row lists (loser rows were
+            // spliced in before this pass, so one walk covers the pair).
+            for &v in losers {
+                mark(dirty, seen, v);
+                mark(dirty, seen, redirect[v as usize]);
+            }
+            let seeds = dirty.len();
+            for i in 0..seeds {
+                let mut r = row_head[dirty[i] as usize];
+                while r != NO_ROW {
+                    let ri = r as usize;
+                    let s = row_ptr[ri] as usize;
+                    let row = &col[s..s + row_len[ri] as usize];
+                    ops += row.len() as u64;
+                    for &c in row {
+                        mark(dirty, seen, redirect[c as usize]);
+                    }
+                    r = row_next[ri];
+                }
             }
         }
         // Recompute the dirty owners from scratch; everyone else keeps
         // last iteration's `choice` (still exact — see above).
-        let mut k = Kernel {
-            row_ptr,
-            row_len,
-            row_head,
-            row_tail,
-            row_next,
-            col,
-            stamp,
-            seen,
-            redirect,
-            kept,
-            next_col,
-            rank,
-            choose,
-        };
         let mut reclaimed = 0usize;
-        for &d in dirty.iter() {
-            let d = d as usize;
-            let (b, read, dropped) = k.rescan::<false>(d, base + d as u64, &mut 0);
+        for i in 0..self.dirty.len() {
+            let d = self.dirty[i] as usize;
+            let (b, read, dropped) =
+                self.rescan::<false, _, _>(rank, choose, redirect, d, base + d as u64, &mut 0);
             ops += read;
             reclaimed += dropped;
             choice[d] = b; // `u32::MAX` when no candidate survived
         }
-        *live -= reclaimed;
+        self.live -= reclaimed;
         // Hand the dirty list to the next apply step as its candidates.
-        std::mem::swap(touched, dirty);
+        std::mem::swap(&mut self.touched, &mut self.dirty);
         (ops, reclaimed)
     }
-}
 
-/// The CSR rescan kernel: every array a pass touches per slot, borrowed
-/// from the [`Csr`] as disjoint slices for the length of one pass, so the
-/// per-slot loop ([`scan_row`]) reads no field through `&mut self`.
-struct Kernel<'a, R, C> {
-    row_ptr: &'a [u32],
-    row_len: &'a mut [u32],
-    row_head: &'a mut [u32],
-    row_tail: &'a mut [u32],
-    row_next: &'a mut [u32],
-    col: &'a mut [u32],
-    stamp: &'a mut [u64],
-    /// The contraction's old → new vertex map (read only when contracting).
-    seen: &'a [u32],
-    redirect: &'a [u32],
-    /// The contraction's kept owners (read only by a debug check).
-    kept: &'a [u32],
-    /// The contraction's slot target, sized to the live slots beforehand.
-    next_col: &'a mut [u32],
-    rank: R,
-    choose: C,
-}
-
-impl<R: Rank, C: Choose> Kernel<'_, R, C> {
-    /// Rescans every row owner `o` holds, in list order, under stamp
-    /// `token`:
+    /// The rescan kernel: rescans every row owner `o` holds, in list
+    /// order, under stamp `token`:
     ///
     /// 1. redirects each slot through the one-level `redirect` (exact,
     ///    because an iteration's mutual pairs form a matching: a
     ///    representative never loses in the iteration it wins);
     /// 2. drops self-loops, duplicate neighbours (across all of `o`'s rows,
     ///    since they are visited back to back) and slots whose merged
-    ///    endpoints no longer satisfy the criterion;
+    ///    endpoints no longer satisfy the criterion under `rank`;
     /// 3. squeezes the survivors to the front of their row and unlinks rows
     ///    left empty — or, with `CONTRACT`, writes them renumbered
     ///    (`seen`) to `next_col` from `cursor` on, leaving the old layout
     ///    to be dropped;
-    /// 4. folds every survivor into `o`'s best candidate under the
-    ///    kernel's tie policy, in the *old* numbering.
+    /// 4. folds every survivor into `o`'s best candidate under `choose`,
+    ///    in the *old* numbering.
+    ///
+    /// The per-slot work runs in [`scan_row`] on slices borrowed from
+    /// disjoint fields, so no field is re-read through `&mut self` inside
+    /// the per-slot loop.
     ///
     /// Dropping a duplicate slot is free of semantic effect: the argmin is
     /// invariant under duplicates, and the criterion filter would kill
@@ -1169,14 +1115,17 @@ impl<R: Rank, C: Choose> Kernel<'_, R, C> {
     /// u32::MAX` when no slot survived; `dropped` is counted only in place
     /// (a contraction's caller reads it off `cursor`).
     #[inline(always)]
-    fn rescan<const CONTRACT: bool>(
+    fn rescan<const CONTRACT: bool, R: Rank, C: Choose>(
         &mut self,
+        rank: R,
+        choose: C,
+        redirect: &[u32],
         o: usize,
         token: u64,
         cursor: &mut usize,
     ) -> (u32, u64, usize) {
-        let owner = self.rank.owner(o);
-        let mut best = self.choose.start(o);
+        let owner = rank.owner(o);
+        let mut best = choose.start(o);
         let (mut read, mut dropped, mut survivors) = (0u64, 0usize, 0usize);
         let first = *cursor;
         let mut r = self.row_head[o];
@@ -1187,25 +1136,24 @@ impl<R: Rank, C: Choose> Kernel<'_, R, C> {
             let s = self.row_ptr[ri] as usize;
             let len = self.row_len[ri] as usize;
             read += len as u64;
-            let row = &mut self.col[s..s + len];
             let (out, from) = if CONTRACT {
-                (&mut *self.next_col, *cursor)
+                (&mut self.next_col[..], *cursor)
             } else {
                 (&mut [][..], 0)
             };
             let end = scan_row::<CONTRACT, R, C>(
-                &self.rank,
-                &self.choose,
+                &rank,
+                &choose,
                 o,
                 owner,
                 token,
-                row,
+                &mut self.col[s..s + len],
                 out,
                 from,
-                self.redirect,
-                self.stamp,
-                self.seen,
-                self.kept,
+                redirect,
+                &mut self.stamp,
+                &self.seen,
+                &self.kept,
                 &mut best,
             );
             if CONTRACT {
@@ -2661,8 +2609,7 @@ mod tests {
     fn u16_merges_match_reference() {
         let top = u32::from(u16::MAX);
         assert_backends_agree(&wide_noise::<u16>(40, 36, 0, 4095, 1), &[255, 1024, 4096]);
-        // Every edge is kept and mean weights reach `2^32 − 2^16`, the
-        // top of the u64 key.
+        // Every edge is kept and mean weights reach `2^32 − 2^16`.
         assert_backends_agree(&wide_noise::<u16>(24, 20, 0, top, 2), &[top]);
     }
 
